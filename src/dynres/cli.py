@@ -12,8 +12,9 @@ Four subcommands:
   their periodic cycles.
 
 Exit status: 0 on success, 1 when a verify suite has a failing
-verdict, 2 on usage errors, 3 when a computation hits the degree
-guardrail without ``--allow-large``.
+verdict, 2 on usage errors, 3 when a ``table`` computation hits the
+degree guardrail without ``--allow-large``.  ``parabolic`` stops below
+the guardrail with a note instead.
 """
 from __future__ import annotations
 

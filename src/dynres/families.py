@@ -9,9 +9,14 @@ quadcrit      z^(d+2) + c z^2    (d >= 1)
 
 The period-n dynatomic polynomial is the Moebius product over divisors
 of n of (f^k(z) - z), assembled here as one numerator product, one
-denominator product and a single exact division.  Multiplier polynomials
-delta_m are extracted from the analogous Moebius product of resultants
-by one exact m-th root.
+denominator product and a single exact division.  The multiplier
+polynomial delta_m, whose m-th power is Res_z(Phi*_m, x - (f^m)'), is
+interpolated in c from integer nodes.  At each node its power sums are
+the traces of ((f^m)')^k modulo Phi*_m divided by m, for k up to its
+x-degree, and Newton's identities turn them into delta_m; the number of
+nodes comes from the proven bound multiplier_degc_bound.  The Moebius
+product of resultants and one exact m-th root give delta_m a second,
+independent time, in multiplier_via_product.
 
 Dynatomic degrees grow fast, so anything with degree above DEGREE_CAP
 is refused unless the caller passes allow_large=True.
@@ -20,12 +25,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
+from fractions import Fraction
 
 from .errors import GuardrailExceeded
 from .numtheory import divisors, dynatomic_degree, mobius
 from .polycore import BiPoly, IntPoly, nth_root
 from .report import Verdict
-from .resultants import charpoly_resultant
+from .resultants import charpoly_interp, charpoly_resultant
 
 DEGREE_CAP = 64
 
@@ -188,38 +195,38 @@ def multiplier_scale(fam: Family, m: int) -> int:
     return 1
 
 
-def _phi_resultant_degc_bound(fam: Family, m: int) -> int | None:
-    """c-degree bound for Res_z(Phi*_m, x - (f^m)').
+def multiplier_degc_bound(fam: Family, m: int) -> int:
+    """Proven bound on deg_c delta_m, from the size of its roots at c = oo.
 
-    For z^d + c the polygon gives the exact value m (d-1) d_m / d.  The
-    other families have far smaller true degrees than any a priori
-    bound, so the self-verifying adaptive search is cheaper there.
+    With n = deg_z Phi*_m and w the largest deg_c(coefficient of
+    z^(n-i)) / i, every root of Phi*_m is O(|c|^w).  If each term of f'
+    is O(|c|^v) on such a root, each multiplier, a product of m values
+    of f', is O(|c|^(m v)), and the n / m multipliers make every
+    coefficient of delta_m O(|c|^(n v)), so deg_c delta_m <= floor(n v).
     """
-    d = fam.d
-    dm = dynatomic_degree(fam.map_degree, m)
-    if fam.kind == "unicritical":
-        return m * (d - 1) * dm // d
-    return None
+    phi = _dynatomic_cached(fam, m)
+    n = phi.degree
+    w = max((Fraction(phi.coeff(n - i).degree, i) for i in range(1, n + 1)
+             if phi.coeff(n - i)), default=Fraction(0))
+    fprime = fam.map_poly.derivative()
+    v = max(a.degree + w * j for j, a in enumerate(fprime.coeffs) if a)
+    return math.floor(n * v)
 
 
 @functools.lru_cache(maxsize=None)
 def _multiplier_cached(fam: Family, m: int) -> BiPoly:
-    from .errors import BoundTooSmall
-
     phi = _dynatomic_cached(fam, m)
     omega = multiplier_derivative(fam, m)
-    bound = _phi_resultant_degc_bound(fam, m)
-    try:
-        res = charpoly_resultant(phi, omega, degc_bound=bound)
-    except BoundTooSmall:
-        # The bound rests on polygon claims that are themselves under
-        # test elsewhere; fall back to the self-verifying adaptive one.
-        res = charpoly_resultant(phi, omega, degc_bound=None)
-    return nth_root(res, m)
+    return charpoly_interp(phi, omega, degc_bound=multiplier_degc_bound(fam, m),
+                           m=m)
 
 
 def multiplier_poly(fam: Family, m: int, allow_large: bool = False) -> MultiplierResult:
-    """delta_m: monic in x, the m-th root of Res_z(Phi*_m, x - (f^m)')."""
+    """delta_m: monic in x, the m-th root of Res_z(Phi*_m, x - (f^m)').
+
+    Interpolated through multiplier_degc_bound + 1 nodes in c, plus one
+    node that checks the bound; a mismatch raises BoundTooSmall.
+    """
     _guard(fam, m, allow_large)
     delta = _multiplier_cached(fam, m)
     return MultiplierResult(m=m, delta=delta, scale=multiplier_scale(fam, m))

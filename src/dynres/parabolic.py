@@ -26,6 +26,7 @@ import dataclasses
 from fractions import Fraction
 from math import gcd
 
+from .errors import GuardrailExceeded
 from .families import Family, multiplier_poly
 from .numtheory import cyclotomic
 from .polycore import IntPoly
@@ -267,7 +268,10 @@ def classify(fam: Family, c: Fraction, m_max: int = 6, j_max: int = 12,
 
     Tests periods m <= m_max and root-of-unity orders j <= j_max; a
     clean miss is reported as repelling-all-tested when a preperiodic
-    critical orbit certifies it, and unresolved otherwise.
+    critical orbit certifies it, and unresolved otherwise.  Testing
+    stops below the first period whose delta_m is above the degree
+    guardrail; a note says so, and the witness's m_max is the last
+    period tested.
     """
     if fam.kind != "unicritical":
         raise ValueError("classification is implemented for z^d + c")
@@ -289,8 +293,15 @@ def classify(fam: Family, c: Fraction, m_max: int = 6, j_max: int = 12,
                               witness={"critical_orbit": "periodic"},
                               notes=notes)
 
+    m_tested = m_max
     for m in range(1, m_max + 1):
-        fractions, cleared = _specialized_delta(fam, m, c, allow_large)
+        try:
+            fractions, cleared = _specialized_delta(fam, m, c, allow_large)
+        except GuardrailExceeded:
+            m_tested = m - 1
+            notes.append("periods above m=%d not tested (degree guardrail)"
+                         % m_tested)
+            break
         if fractions and fractions[0] == 0:
             return Classification(c=c, status="superattracting", period=m,
                                   witness={"delta_at_0": "0"}, notes=notes)
@@ -321,10 +332,10 @@ def classify(fam: Family, c: Fraction, m_max: int = 6, j_max: int = 12,
             c=c, status="repelling-all-tested",
             witness={"critical_orbit": "preperiodic",
                      "preperiod": orbit[0], "eventual_period": orbit[1],
-                     "m_max": m_max, "j_max": j_max},
+                     "m_max": m_tested, "j_max": j_max},
             notes=notes)
     return Classification(c=c, status="unresolved",
-                          witness={"m_max": m_max, "j_max": j_max},
+                          witness={"m_max": m_tested, "j_max": j_max},
                           notes=notes)
 
 

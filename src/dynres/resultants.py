@@ -15,14 +15,20 @@ Route three applies only to resultants of the shape Res(F, x - G) with
 F monic: the answer is the characteristic polynomial of multiplication
 by G on the quotient ring modulo F, recovered from exact power sums and
 Newton's identities.  No fractions appear; every division is by a small
-integer and is checked.
+integer and is checked.  When that resultant is known to be an m-th
+power, as Res_z(Phi*_m, x - (f^m)') = delta_m^m is, the per-node form
+(``charpoly_int`` with root index m) returns the m-th root directly:
+the power sums of delta_m are the traces of G^k modulo F divided by m,
+and only the first deg F / m of them are formed (Bostan, Flajolet,
+Salvy and Schost, "Fast computation of special resultants", 2006).
 
 The three routes are cross-tested against each other in the test suite
 and must agree wherever they are all defined.
 """
 from __future__ import annotations
 
-from .errors import BoundTooSmall, DivisionNotExact, ZeroPolynomial
+from .errors import (BoundTooSmall, DivisionNotExact, NotPerfectPower,
+                     ZeroPolynomial)
 from .polycore import BiPoly, IntPoly, interpolate_int, interpolate_intpolys
 
 SYLVESTER_MAX_DEG = 12
@@ -168,37 +174,52 @@ def _int_polyrem_monic(a, f):
     return a
 
 
-def charpoly_int(fc: list[int], gc: list[int]) -> IntPoly:
-    """The monic polynomial whose roots are G(alpha) over roots alpha of F.
+def charpoly_int(fc: list[int], gc: list[int], m: int = 1) -> IntPoly:
+    """The monic polynomial whose m-th power has roots G(alpha) over the
+    roots alpha of F.
 
-    F must be monic.  Equals Res_z(F, x - G) taken with the formal
-    z-degree of G, which for monic F is independent of that degree.
+    F must be monic.  At m = 1 this equals Res_z(F, x - G) taken with
+    the formal z-degree of G, which for monic F is independent of that
+    degree.  For m > 1 the caller asserts that every value G(alpha)
+    occurs a multiple of m times, as the multiplier does on the points
+    of an exact m-cycle.  Only the first deg F / m traces of G^k modulo
+    F are formed, and each must be divisible by m exactly; a remainder
+    raises DivisionNotExact, and a degree not divisible by m raises
+    NotPerfectPower.
     """
     if not fc or fc[-1] != 1:
         raise ValueError("charpoly_int needs a monic F")
+    if m < 1:
+        raise ValueError("root index must be positive")
     n = len(fc) - 1
-    if n == 0:
+    if n % m:
+        raise NotPerfectPower("degree %d is not divisible by %d" % (n, m))
+    deg = n // m
+    if deg == 0:
         return IntPoly((1,), "x")
     t = _powersums_of_roots(fc, n, 0)
     g = _int_polyrem_monic(gc, fc)
-    s = []
+    p = []
     power = [1]
-    for _ in range(n):
+    for _ in range(deg):
         power = _int_polyrem_monic(_int_polymul(power, g), fc)
-        s.append(sum(power[k] * t[k] for k in range(len(power))))
+        q, r = divmod(sum(power[k] * t[k] for k in range(len(power))), m)
+        if r:
+            raise DivisionNotExact("trace not divisible by %d" % m)
+        p.append(q)
     e = [1]
-    for i in range(1, n + 1):
+    for i in range(1, deg + 1):
         acc = 0
         for j in range(1, i + 1):
-            term = e[i - j] * s[j - 1]
+            term = e[i - j] * p[j - 1]
             acc = acc + term if j % 2 else acc - term
         q, r = divmod(acc, i)
         if r:
             raise DivisionNotExact("Newton identity division failed")
         e.append(q)
-    coeffs = [0] * (n + 1)
-    for i in range(n + 1):
-        coeffs[n - i] = e[i] if i % 2 == 0 else -e[i]
+    coeffs = [0] * (deg + 1)
+    for i in range(deg + 1):
+        coeffs[deg - i] = e[i] if i % 2 == 0 else -e[i]
     return IntPoly(coeffs, "x")
 
 
@@ -337,19 +358,23 @@ def resultant_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None) -> Int
         b = min(2 * b, cap)
 
 
-def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None) -> BiPoly:
-    """Res(F, x - G) for monic F via per-node integer charpolys."""
+def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None,
+                    m: int = 1) -> BiPoly:
+    """Res(F, x - G) for monic F via per-node integer charpolys.
+
+    With m > 1 the result is instead the monic m-th root of that
+    resultant, node by node through ``charpoly_int(fc, gc, m)``.
+    """
     if not F.is_monic:
         raise ValueError("interpolation charpoly needs F monic")
     n = F.degree
-    m = max(G.degree or 0, 1)
-    cap = _degc(F) * m + _degc(G) * n
+    cap = _degc(F) * max(G.degree or 0, 1) + _degc(G) * n
     values: list[IntPoly] = []
 
     def value_at(c0: int) -> IntPoly:
         fc = [F.coeff(i)(c0) for i in range(n + 1)]
         gc = [G.coeff(i)(c0) for i in range(len(G.coeffs))]
-        return charpoly_int(fc, gc)
+        return charpoly_int(fc, gc, m)
 
     def ensure(count: int) -> None:
         while len(values) < count:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from dynres.cli import main
+from dynres.parabolic import enumerate_candidates
 from dynres.report import Report
 
 
@@ -116,6 +117,18 @@ def test_parabolic_enumeration(capsys):
     assert len(lines) == 10
     assert lines[0] == "-2: repelling-all-tested"
     assert lines[-1] == "1/4: parabolic m=1 j=1"
+
+
+def test_parabolic_d3_stops_below_guardrail(capsys):
+    # m = 4 is above the degree guardrail for z^3 + c; that stops each
+    # parameter at m = 3 instead of aborting the enumeration
+    rc = main(["parabolic", "--d", "3"])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = [l for l in out if not l.startswith("  note:")]
+    assert len(rows) == len(enumerate_candidates(3)) == 9
+    assert rows[0] == "-4/3: unresolved"
+    assert "  note: periods above m=3 not tested (degree guardrail)" in out
 
 
 def test_parabolic_linearterm_needs_c(capsys):

@@ -1,12 +1,13 @@
 import pytest
 
-from dynres.errors import GuardrailExceeded
+from dynres.errors import BoundTooSmall, GuardrailExceeded
 from dynres.families import (
     DEGREE_CAP,
     Family,
     conjugacy_check,
     dynatomic,
     iterate,
+    multiplier_degc_bound,
     multiplier_derivative,
     multiplier_poly,
     multiplier_scale,
@@ -14,6 +15,7 @@ from dynres.families import (
 )
 from dynres.numtheory import divisors, dynatomic_degree
 from dynres.polycore import BiPoly
+from dynres.resultants import charpoly_interp
 
 Z = BiPoly.gen("z")
 C = BiPoly.cgen("z")
@@ -117,6 +119,47 @@ def test_multiplier_route_agreement():
         fam = Family(kind, d)
         for m in (1, 2, 3):
             assert multiplier_poly(fam, m).delta == multiplier_via_product(fam, m)
+    # larger cases, with Phi*_m of degree 12, 12 and 24
+    for kind, d, m in (("unicritical", 2, 4), ("linearterm", 1, 4),
+                       ("unicritical", 3, 3)):
+        fam = Family(kind, d)
+        assert multiplier_poly(fam, m).delta == multiplier_via_product(fam, m)
+
+
+# (kind, {d: largest m}) of the golden table rows
+GOLDEN_RANGES = (("unicritical", {2: 3, 3: 3, 4: 2, 5: 2}),
+                 ("linearterm", {2: 3, 3: 2, 4: 2, 5: 2}),
+                 ("shifted", {2: 2, 3: 2, 4: 2}),
+                 ("quadcrit", {2: 2, 3: 2, 4: 2}))
+
+
+def test_multiplier_degc_bound():
+    for kind, ranges in GOLDEN_RANGES:
+        for d, m_top in ranges.items():
+            fam = Family(kind, d)
+            for m in range(1, m_top + 1):
+                bound = multiplier_degc_bound(fam, m)
+                degc = multiplier_poly(fam, m).delta.deg_c
+                if kind in ("unicritical", "linearterm"):
+                    assert bound == degc, (kind, d, m)
+                else:
+                    assert bound >= degc, (kind, d, m)
+    # the values behind the node counts of delta_6 and delta_5
+    assert multiplier_degc_bound(Family("unicritical", 2), 6) == 27
+    assert multiplier_degc_bound(Family("linearterm", 1), 5) == 30
+
+
+def test_multiplier_bound_one_short_raises():
+    fam = Family("unicritical", 2)
+    m = 4
+    phi = dynatomic(fam, m).poly
+    omega = multiplier_derivative(fam, m)
+    bound = multiplier_degc_bound(fam, m)
+    delta = charpoly_interp(phi, omega, degc_bound=bound, m=m)
+    assert delta == multiplier_poly(fam, m).delta
+    assert delta.deg_c == bound
+    with pytest.raises(BoundTooSmall):
+        charpoly_interp(phi, omega, degc_bound=bound - 1, m=m)
 
 
 def test_conjugacy():

@@ -139,3 +139,14 @@ def test_classification_line():
     assert Classification(F(0), "superattracting", 1).line() == \
         "0: superattracting m=1"
     assert Classification(F(-3, 2), "unresolved").line() == "-3/2: unresolved"
+
+
+def test_classify_stops_below_guardrail():
+    out = classify(Family("unicritical", 3), F(-4, 3))
+    assert out.status == "unresolved"
+    assert out.witness == {"m_max": 3, "j_max": 12}
+    assert out.notes == ["periods above m=3 not tested (degree guardrail)"]
+    # below the guardrail nothing is noted and m_max is the one asked for
+    out = classify(Family("unicritical", 3), F(-4, 3), m_max=3)
+    assert out.witness == {"m_max": 3, "j_max": 12}
+    assert out.notes == []

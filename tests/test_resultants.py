@@ -1,6 +1,7 @@
 import pytest
 
-from dynres.errors import BoundTooSmall, ZeroPolynomial
+from dynres.errors import (BoundTooSmall, DivisionNotExact, NotPerfectPower,
+                           ZeroPolynomial)
 from dynres.polycore import BiPoly, IntPoly
 from dynres.resultants import (
     charpoly_int,
@@ -57,6 +58,28 @@ def test_charpoly_int():
     assert charpoly_int([-2, 0, 1], [0, 1]).coeffs == (-2, 0, 1)
     with pytest.raises(ValueError):
         charpoly_int([-2, 0, 2], [0, 1])
+
+
+def test_charpoly_int_root_index():
+    # squares of the roots +-sqrt(2) are 2, twice: (x - 2)^2
+    root = charpoly_int([-2, 0, 1], [0, 0, 1], 2)
+    assert root.coeffs == (-2, 1)
+    assert (root ** 2).coeffs == charpoly_int([-2, 0, 1], [0, 0, 1]).coeffs
+    # Phi*_2 of z^2 + c at c = 1 is z^2 + z + 2; its one 2-cycle has
+    # multiplier 4c + 4 = 8 under (f^2)' = 4z^3 + 4cz
+    fc, gc = [2, 1, 1], [0, 4, 0, 4]
+    root = charpoly_int(fc, gc, 2)
+    assert root.coeffs == (-8, 1)
+    assert (root ** 2).coeffs == charpoly_int(fc, gc).coeffs
+
+
+def test_charpoly_int_root_index_not_exact():
+    # roots of z^2 - z - 1 sum to 1, so the first trace is odd
+    with pytest.raises(DivisionNotExact):
+        charpoly_int([-1, -1, 1], [0, 1], 2)
+    # degree 3 has no square root
+    with pytest.raises(NotPerfectPower):
+        charpoly_int([-1, 0, 0, 1], [0, 1], 2)
 
 
 def test_charpoly_routes_agree():
