@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
-from fractions import Fraction
 
 from .errors import GuardrailExceeded
 from .numtheory import divisors, dynatomic_degree, mobius
-from .polycore import BiPoly, IntPoly, nth_root
+from .polycore import BiPoly, nth_root
 from .report import Verdict
-from .resultants import charpoly_interp, charpoly_resultant
+from .resultants import charpoly_interp, charpoly_resultant, orbit_degc_bound
 
 DEGREE_CAP = 64
 
@@ -173,14 +171,17 @@ def multiplier_derivative(fam: Family, m: int) -> BiPoly:
     return out
 
 
-def _resultant_degc_bound(fam: Family, k: int, m: int) -> int | None:
-    """Known c-degree of Res_z(f^k - z, x - (f^m)'), where a formula exists."""
-    d = fam.d
-    if fam.kind == "unicritical":
-        return m * (d - 1) * d ** (k - 1)
-    if fam.kind == "linearterm":
-        return m * (d + 1) ** k
-    return None
+def fixed_point_resultant(fam: Family, k: int, m: int) -> BiPoly:
+    """Res_z(f^k - z, x - (f^m)'), the m-th iterate's multipliers at the
+    points of period dividing k.
+
+    f permutes the roots of f^k - z and (f^m)' is f' along m steps of
+    that orbit, so the nodes come from orbit_degc_bound(f^k - z, f', m).
+    """
+    fk = iterate(fam, k) - BiPoly.gen("z")
+    bound = orbit_degc_bound(fk, fam.map_poly.derivative(), m)
+    return charpoly_resultant(fk, multiplier_derivative(fam, m),
+                              degc_bound=bound)
 
 
 def multiplier_scale(fam: Family, m: int) -> int:
@@ -198,19 +199,15 @@ def multiplier_scale(fam: Family, m: int) -> int:
 def multiplier_degc_bound(fam: Family, m: int) -> int:
     """Proven bound on deg_c delta_m, from the size of its roots at c = oo.
 
-    With n = deg_z Phi*_m and w the largest deg_c(coefficient of
-    z^(n-i)) / i, every root of Phi*_m is O(|c|^w).  If each term of f'
-    is O(|c|^v) on such a root, each multiplier, a product of m values
-    of f', is O(|c|^(m v)), and the n / m multipliers make every
-    coefficient of delta_m O(|c|^(n v)), so deg_c delta_m <= floor(n v).
+    delta_m is the monic m-th root of Res_z(Phi*_m, x - (f^m)'), and
+    (f^m)' is the product of f' along the orbit of z, which f permutes
+    among the roots of Phi*_m: orbit_degc_bound(Phi*_m, f', m, m).  Each
+    root of Phi*_m sits on a slope t of its Newton polygon and makes f'
+    O(|c|^v(t)) there, so deg_c delta_m is at most the sum of max(0, v)
+    over the roots.
     """
-    phi = _dynatomic_cached(fam, m)
-    n = phi.degree
-    w = max((Fraction(phi.coeff(n - i).degree, i) for i in range(1, n + 1)
-             if phi.coeff(n - i)), default=Fraction(0))
-    fprime = fam.map_poly.derivative()
-    v = max(a.degree + w * j for j, a in enumerate(fprime.coeffs) if a)
-    return math.floor(n * v)
+    return orbit_degc_bound(_dynatomic_cached(fam, m),
+                            fam.map_poly.derivative(), m, m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,23 +237,14 @@ def multiplier_via_product(fam: Family, m: int,
     Must agree with multiplier_poly; the test suite compares the two and
     never collapses them into one.
     """
-    from .errors import BoundTooSmall
-
     _guard(fam, m, allow_large)
-    z = BiPoly.gen("z")
-    omega = multiplier_derivative(fam, m)
     num = BiPoly.const(1, "x")
     den = BiPoly.const(1, "x")
     for k in divisors(m):
         mu = mobius(m // k)
         if mu == 0:
             continue
-        bound = _resultant_degc_bound(fam, k, m)
-        fk = iterate(fam, k) - z
-        try:
-            res = charpoly_resultant(fk, omega, degc_bound=bound)
-        except BoundTooSmall:
-            res = charpoly_resultant(fk, omega, degc_bound=None)
+        res = fixed_point_resultant(fam, k, m)
         if mu == 1:
             num = num * res
         else:

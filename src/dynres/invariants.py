@@ -22,17 +22,18 @@ assumed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 from .errors import NotInSubring
-from .families import (Family, dynatomic, dynatomic_of_map, iterate,
-                       multiplier_derivative, multiplier_poly,
-                       multiplier_scale)
+from .families import (Family, dynatomic, dynatomic_of_map,
+                       fixed_point_resultant, iterate, multiplier_derivative,
+                       multiplier_poly)
 from .numtheory import (common_prime_part, cyclotomic, divisors,
                         dynatomic_degree, euler_phi, factorize, mobius)
 from .polycore import BiPoly, IntPoly, eval_at_bipoly
 from .report import Verdict
-from .resultants import charpoly_resultant, resultant
+from .resultants import charpoly_resultant, orbit_degc_bound, resultant
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +369,7 @@ def unicritical_res_lt_check(fam: Family, k: int, m: int) -> Verdict:
     if fam.kind != "unicritical":
         raise ValueError("stated for the unicritical family")
     d = fam.d
-    z = BiPoly.gen("z")
-    res = charpoly_resultant(iterate(fam, k) - z, multiplier_derivative(fam, m))
+    res = fixed_point_resultant(fam, k, m)
     degc = m * (d - 1) * d ** (k - 1)
     coef = d ** (d * m * d ** (k - 1))
     if d ** k * (1 + m * (d - 1)) % 2:
@@ -424,7 +424,7 @@ def unicritical_delta_lt_check(fam: Family, m: int,
 # auxiliary polynomials for z^(d+1) + cz and (z-c) z^d + c
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class AuxPolys:
     d: int
     k: int
@@ -434,7 +434,7 @@ class AuxPolys:
     R: BiPoly             # Res_z(F_k, x - cleared)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class AuxShifted:
     d: int
     k: int
@@ -461,16 +461,22 @@ def _orbit_product(d: int, k: int) -> BiPoly:
     return out
 
 
+def _linear_factor(d: int) -> BiPoly:
+    """(d+1) z - dc, the factor of each orbit step in cleared_m."""
+    return BiPoly.gen("z") * (d + 1) - BiPoly.cgen("z") * d
+
+
 def _cleared_product(d: int, m: int) -> BiPoly:
     """prod over i < m of ((d+1) ftil^i(z) - dc), denominators cleared."""
     its = _ftil_iterates(d, m - 1)
-    dc = BiPoly.cgen("z") * d
+    factor = _linear_factor(d)
     out = BiPoly.const(1, "z")
     for i in range(m):
-        out = out * (its[i] * (d + 1) - dc)
+        out = out * factor.compose(its[i])
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def aux_nonunicritical(d: int, k: int, m: int) -> AuxPolys:
     # The integrality and leading-term claims about R are stated for
     # k | m only; for other pairs the resultant exists but nothing is
@@ -479,27 +485,21 @@ def aux_nonunicritical(d: int, k: int, m: int) -> AuxPolys:
         raise ValueError("need k | m")
     F_k = _orbit_product(d, k) - 1
     cleared = _cleared_product(d, m)
-    bound = m * ((d + 1) ** k - 1) // d
-    from .errors import BoundTooSmall
-    try:
-        R = charpoly_resultant(F_k, cleared, degc_bound=bound)
-    except BoundTooSmall:
-        R = charpoly_resultant(F_k, cleared, degc_bound=None)
+    bound = orbit_degc_bound(F_k, _linear_factor(d), m)
+    R = charpoly_resultant(F_k, cleared, degc_bound=bound)
     return AuxPolys(d=d, k=k, m=m, F_k=F_k, cleared=cleared, R=R)
 
 
+@functools.lru_cache(maxsize=None)
 def aux_shifted(d: int, k: int, m: int) -> AuxShifted:
     if m % k:
         raise ValueError("need k | m")
     F_k = _orbit_product(d, k) - 1
     H_k = (F_k + 1) ** d - 1
     G = (_orbit_product(d, m)) ** (d - 1) * _cleared_product(d, m)
-    bound = m * ((d + 1) ** k - 1)
-    from .errors import BoundTooSmall
-    try:
-        R = charpoly_resultant(H_k, G, degc_bound=bound)
-    except BoundTooSmall:
-        R = charpoly_resultant(H_k, G, degc_bound=None)
+    ftil = Family("shifted", d).map_poly
+    bound = orbit_degc_bound(H_k, ftil.derivative(), m)
+    R = charpoly_resultant(H_k, G, degc_bound=bound)
     return AuxShifted(d=d, k=k, m=m, H_k=H_k, G=G, R=R)
 
 
@@ -526,7 +526,7 @@ def linearterm_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
         params={"d": d, "m": m}, passed=deriv == rhs2,
         residual=None if deriv == rhs2 else str(deriv - rhs2)))
 
-    res = charpoly_resultant(lhs, deriv)
+    res = fixed_point_resultant(fam, k, m)
     x = BiPoly.gen("x")
     cm = BiPoly.const(IntPoly([0] * m + [1], "c"), "x")
     split = (x - cm) * aux.R ** d
@@ -566,7 +566,7 @@ def shifted_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
         params={"family": fam.label(), "m": m}, passed=deriv == aux.G,
         residual=None if deriv == aux.G else str(deriv - aux.G)))
 
-    res = charpoly_resultant(lhs, deriv)
+    res = fixed_point_resultant(fam, k, m)
     x = BiPoly.gen("x")
     cmd = BiPoly.const(IntPoly([0] * (m * d) + [1], "c"), "x")
     split = (x - cmd) * aux.R

@@ -1,73 +1,22 @@
-"""Newton polygons over the degree valuation in c.
+"""Newton polygon shapes over the degree valuation in c.
 
 The valuation here is v(p) = -deg_c(p) on nonzero integer polynomials
 in c, with v(0) treated as +infinity (such points simply do not appear
-on the polygon).  For a polynomial P(x) over Z[c] the polygon is the
-lower convex hull of the points (i, -deg_c a_i) over the nonzero
-coefficients a_i.  With this normalization a segment of slope t and
-horizontal length l records l roots whose c-degree is t; a polynomial
-whose roots all grow like c^t has a single segment of slope t.
-
-Roots at x = 0 have no finite point to sit on; their number is kept
-separately as zero_order.
+on the polygon).  The polygon itself, NewtonPolygon, is built in
+polycore, where the c-degree bounds of the resultant routes also read
+it; this module holds the claimed shapes.  A segment of slope t and
+horizontal length l records l roots whose c-degree is t, so a
+polynomial whose roots all grow like c^t has a single segment of
+slope t.
 """
 from __future__ import annotations
 
-import dataclasses
-from fractions import Fraction
-
-from .families import Family, iterate, multiplier_derivative, multiplier_poly
-from .invariants import _cleared_rational_eval, _orbit_product
+from .families import Family, fixed_point_resultant, iterate, multiplier_poly
+from .invariants import _cleared_rational_eval, _linear_factor, _orbit_product
 from .numtheory import dynatomic_degree
-from .polycore import BiPoly, IntPoly
+from .polycore import BiPoly, IntPoly, NewtonPolygon
 from .report import Verdict
-from .resultants import charpoly_resultant
-
-
-def _cross(o, a, b) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-@dataclasses.dataclass(frozen=True)
-class NewtonPolygon:
-    zero_order: int
-    vertices: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def of(cls, P: BiPoly) -> "NewtonPolygon":
-        if P.is_zero:
-            raise ValueError("the zero polynomial has no polygon")
-        pts = [(i, -a.degree) for i, a in enumerate(P.coeffs) if not a.is_zero]
-        hull: list[tuple[int, int]] = []
-        for p in pts:
-            while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
-                hull.pop()
-            hull.append(p)
-        return cls(zero_order=pts[0][0], vertices=tuple(hull))
-
-    @property
-    def slopes(self) -> list[tuple[Fraction, int]]:
-        """(slope, horizontal length) per segment, slopes increasing."""
-        out = []
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
-            out.append((Fraction(y1 - y0, x1 - x0), x1 - x0))
-        return out
-
-    def single_slope(self) -> Fraction | None:
-        """The common slope if the polygon is one segment, else None."""
-        segs = self.slopes
-        if self.zero_order == 0 and len(segs) == 1:
-            return segs[0][0]
-        return None
-
-    @property
-    def max_slope(self) -> Fraction | None:
-        segs = self.slopes
-        return segs[-1][0] if segs else None
-
-    def to_dict(self) -> dict:
-        return {"zero_order": self.zero_order,
-                "vertices": [list(v) for v in self.vertices]}
+from .resultants import charpoly_resultant, orbit_degc_bound
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +53,7 @@ def delta_polygon_check(d: int, m: int, allow_large: bool = False) -> Verdict:
 def resultant_polygon_check(d: int, k: int, m: int) -> Verdict:
     """Res_z(f^k - z, x - (f^m)') for z^d + c: one segment of slope
     m (d-1) / d in x."""
-    fam = Family("unicritical", d)
-    z = BiPoly.gen("z")
-    res = charpoly_resultant(iterate(fam, k) - z, multiplier_derivative(fam, m))
+    res = fixed_point_resultant(Family("unicritical", d), k, m)
     np_ = NewtonPolygon.of(res)
     want = ((0, -m * (d - 1) * d ** (k - 1)), (d ** k, 0))
     ok = np_.zero_order == 0 and np_.vertices == want
@@ -143,9 +90,8 @@ def linear_resultant_polygon_check(d: int, k: int) -> list[Verdict]:
     (-1) ** deg F_k.
     """
     F_k = _orbit_product(d, k) - 1
-    z = BiPoly.gen("z")
-    dc = BiPoly.cgen("z") * d
-    G = charpoly_resultant(F_k, z * (d + 1) - dc)
+    h = _linear_factor(d)
+    G = charpoly_resultant(F_k, h, degc_bound=orbit_degc_bound(F_k, h, 1))
     np_ = NewtonPolygon.of(G)
     slope = np_.single_slope()
     v1 = Verdict(check="linear-resultant-polygon-slope",

@@ -4,7 +4,8 @@ Two layers.  ``IntPoly`` is a univariate polynomial with integer
 coefficients, stored dense in ascending order with trailing zeros
 stripped.  ``BiPoly`` is a polynomial in a main variable (``z`` while
 iterating maps, ``x`` for multiplier polynomials) whose coefficients are
-``IntPoly`` values in the parameter ``c``.
+``IntPoly`` values in the parameter ``c``.  ``NewtonPolygon`` reads the
+c-degrees of a ``BiPoly``'s coefficients as a lower convex hull.
 
 Everything is exact.  There is no floating point anywhere in this
 module, no modular shortcut, and every division either succeeds exactly
@@ -543,35 +544,12 @@ def nth_root(p: BiPoly, n: int) -> BiPoly:
 def interpolate_int(values: Sequence[int], var: str = "c") -> IntPoly:
     """Integer polynomial through (0, v0), (1, v1), ..., (N, vN).
 
-    Exact Lagrange assembly over consecutive integer nodes.  All
-    arithmetic is integral; the single final division by N! must be
-    exact or the data did not come from an integer polynomial of degree
-    at most N, in which case DivisionNotExact propagates.
+    The width-1 case of interpolate_intpolys: exact Lagrange assembly
+    over consecutive integer nodes, and DivisionNotExact when the data
+    did not come from an integer polynomial of degree at most N.
     """
-    n = len(values) - 1
-    if n < 0:
-        raise ValueError("need at least one value")
-    w = _master_poly(n)
-    quotients = _master_quotients(n, w)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    acc = [0] * (n + 1)
-    binom = _binomial_row(n)
-    for i, y in enumerate(values):
-        if y == 0:
-            continue
-        scale = y * binom[i] * (1 if (n - i) % 2 == 0 else -1)
-        qi = quotients[i]
-        for j, b in enumerate(qi):
-            acc[j] += scale * b
-    out = []
-    for a in acc:
-        q, r = divmod(a, fact)
-        if r:
-            raise DivisionNotExact("interpolation values are not polynomial of this degree")
-        out.append(q)
-    return IntPoly(out, var)
+    points = [IntPoly.const(v, var) for v in values]
+    return interpolate_intpolys(points, cvar=var).coeff(0)
 
 
 def _master_poly(n: int) -> list[int]:
@@ -636,3 +614,58 @@ def interpolate_intpolys(values: Sequence[IntPoly], main_var: str = "x",
             cs.append(q)
         out_coeffs.append(IntPoly(cs, cvar))
     return BiPoly(out_coeffs, main_var, cvar)
+
+
+def _cross(o, a, b) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+@dataclasses.dataclass(frozen=True)
+class NewtonPolygon:
+    """Newton polygon of a BiPoly over the valuation -deg_c.
+
+    The polygon is the lower convex hull of the points (i, -deg_c a_i)
+    over the nonzero coefficients a_i.  A segment of slope t and
+    horizontal length l records l roots whose c-degree is t: they grow
+    like |c|^t as c -> oo.  Roots at 0 have no finite point to sit on;
+    their number is kept separately as zero_order.
+    """
+
+    zero_order: int
+    vertices: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, P: BiPoly) -> "NewtonPolygon":
+        if P.is_zero:
+            raise ValueError("the zero polynomial has no polygon")
+        pts = [(i, -a.degree) for i, a in enumerate(P.coeffs) if not a.is_zero]
+        hull: list[tuple[int, int]] = []
+        for p in pts:
+            while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
+                hull.pop()
+            hull.append(p)
+        return cls(zero_order=pts[0][0], vertices=tuple(hull))
+
+    @property
+    def slopes(self) -> list[tuple[Fraction, int]]:
+        """(slope, horizontal length) per segment, slopes increasing."""
+        out = []
+        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
+            out.append((Fraction(y1 - y0, x1 - x0), x1 - x0))
+        return out
+
+    def single_slope(self) -> Fraction | None:
+        """The common slope if the polygon is one segment, else None."""
+        segs = self.slopes
+        if self.zero_order == 0 and len(segs) == 1:
+            return segs[0][0]
+        return None
+
+    @property
+    def max_slope(self) -> Fraction | None:
+        segs = self.slopes
+        return segs[-1][0] if segs else None
+
+    def to_dict(self) -> dict:
+        return {"zero_order": self.zero_order,
+                "vertices": [list(v) for v in self.vertices]}

@@ -6,10 +6,16 @@ oracle for everything else.
 
 Route two is evaluation-interpolation: specialize c at consecutive
 integers starting from 0, take exact integer resultants per node, and
-reassemble by exact Lagrange interpolation.  A degree bound for c is
-required; one extra node is always computed and checked against the
-interpolated answer, and a mismatch raises BoundTooSmall rather than
-returning a wrong polynomial.
+reassemble by exact Lagrange interpolation.  The number of nodes comes
+from a proven a-priori bound on the c-degree, never from a search: the
+caller's bound, typically orbit_degc_bound, which reads the growth of
+the roots at c = oo off a Newton polygon, or else the Sylvester-shape
+cap degc_cap.  One extra node is always computed and checked against
+the interpolated answer, and a mismatch raises BoundTooSmall rather
+than returning a wrong polynomial.  Before choosing a route, the
+dispatcher ``resultant`` takes one Euclid step on a monic side,
+Res(F, G) = Res(F, G rem F), so a large monic F against a small G
+stays on the Sylvester route.
 
 Route three applies only to resultants of the shape Res(F, x - G) with
 F monic: the answer is the characteristic polynomial of multiplication
@@ -29,7 +35,8 @@ from __future__ import annotations
 
 from .errors import (BoundTooSmall, DivisionNotExact, NotPerfectPower,
                      ZeroPolynomial)
-from .polycore import BiPoly, IntPoly, interpolate_int, interpolate_intpolys
+from .polycore import (BiPoly, IntPoly, NewtonPolygon, interpolate_int,
+                       interpolate_intpolys)
 
 SYLVESTER_MAX_DEG = 12
 
@@ -316,46 +323,58 @@ def degc_cap(F: BiPoly, G: BiPoly) -> int:
     return _degc(F) * max(G.degree or 0, 1) + _degc(G) * max(F.degree or 0, 1)
 
 
+def orbit_degc_bound(F: BiPoly, h: BiPoly, steps: int,
+                     root_index: int = 1) -> int:
+    """Proven bound on deg_c of the monic root_index-th root of
+    Res_z(F, x - G), for F monic and G = prod over i < steps of
+    h(sigma^i z), where sigma permutes the roots of F.
+
+    A root alpha of F on a segment of slope t of F's Newton polygon is
+    O(|c|^t) as c -> oo, so h(alpha) is O(|c|^v(t)) with
+    v(t) = max over l of (deg_c h_l + t l); a root at 0 gives
+    v = deg_c h_0.  G(alpha) is then O(|c|^e(alpha)), e(alpha) the sum
+    of v over sigma^i(alpha) for i < steps, and every coefficient of
+    prod (x - G(alpha)) is O(|c|^E), E the sum of max(0, e(alpha)).
+    Because sigma permutes the roots, E <= steps S with S the sum over
+    the roots of max(0, v).  Each value occurs root_index times in the
+    product, so its monic root_index-th root has deg_c at most
+    floor(steps S / root_index).
+    """
+    if not F.is_monic:
+        raise ValueError("orbit bound needs F monic")
+    polygon = NewtonPolygon.of(F)
+    terms = [(a.degree, l) for l, a in enumerate(h.coeffs) if not a.is_zero]
+    total = polygon.zero_order * (h.coeff(0).degree or 0)
+    for t, length in polygon.slopes:
+        total += length * max(0, max(e + t * l for e, l in terms))
+    return steps * total // root_index
+
+
 def resultant_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None) -> IntPoly:
     """Res in the main variable via per-node integer resultants.
 
-    With an explicit bound, one extra node verifies it; otherwise the
-    bound is grown geometrically up to the Sylvester cap.
+    The nodes come from degc_bound, or from the Sylvester cap when it
+    is None; one extra node checks the bound and a mismatch raises
+    BoundTooSmall.
     """
     if F.is_zero or G.is_zero:
         raise ZeroPolynomial("resultant of the zero polynomial")
     n, m = F.degree, G.degree
-    cap = degc_cap(F, G)
-    values: list[int] = []
+    bound = degc_cap(F, G) if degc_bound is None else degc_bound
 
     def value_at(c0: int) -> int:
         fc = [F.coeff(i)(c0) for i in range(n + 1)]
         gc = [G.coeff(i)(c0) for i in range(m + 1)]
         return resultant_int(fc, gc)
 
-    def ensure(count: int) -> None:
-        while len(values) < count:
-            values.append(value_at(len(values)))
-
-    if degc_bound is not None:
-        ensure(degc_bound + 2)
-        result = interpolate_int(values[: degc_bound + 1], F.cvar)
-        if result(degc_bound + 1) != values[degc_bound + 1]:
-            raise BoundTooSmall("degree bound %d failed verification" % degc_bound)
-        return result
-
-    b = min(16, cap)
-    while True:
-        ensure(b + 2)
-        try:
-            result = interpolate_int(values[: b + 1], F.cvar)
-        except DivisionNotExact:
-            result = None
-        if result is not None and result(b + 1) == values[b + 1]:
-            return result
-        if b >= cap:
-            raise BoundTooSmall("hit the Sylvester cap %d without converging" % cap)
-        b = min(2 * b, cap)
+    values = [value_at(c0) for c0 in range(bound + 2)]
+    try:
+        result = interpolate_int(values[:-1], F.cvar)
+    except DivisionNotExact as exc:
+        raise BoundTooSmall("degree bound %d failed verification" % bound) from exc
+    if result(bound + 1) != values[-1]:
+        raise BoundTooSmall("degree bound %d failed verification" % bound)
+    return result
 
 
 def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None,
@@ -363,47 +382,29 @@ def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None,
     """Res(F, x - G) for monic F via per-node integer charpolys.
 
     With m > 1 the result is instead the monic m-th root of that
-    resultant, node by node through ``charpoly_int(fc, gc, m)``.
+    resultant, node by node through ``charpoly_int(fc, gc, m)``.  The
+    nodes come from degc_bound, or from the Sylvester cap when it is
+    None; one extra node checks the bound and a mismatch raises
+    BoundTooSmall.
     """
     if not F.is_monic:
         raise ValueError("interpolation charpoly needs F monic")
     n = F.degree
-    cap = _degc(F) * max(G.degree or 0, 1) + _degc(G) * n
-    values: list[IntPoly] = []
+    bound = degc_cap(F, G) if degc_bound is None else degc_bound
 
     def value_at(c0: int) -> IntPoly:
         fc = [F.coeff(i)(c0) for i in range(n + 1)]
         gc = [G.coeff(i)(c0) for i in range(len(G.coeffs))]
         return charpoly_int(fc, gc, m)
 
-    def ensure(count: int) -> None:
-        while len(values) < count:
-            values.append(value_at(len(values)))
-
-    def attempt(b: int) -> BiPoly | None:
-        ensure(b + 2)
-        try:
-            result = interpolate_intpolys(values[: b + 1], "x", F.cvar)
-        except DivisionNotExact:
-            return None
-        if result.specialize_c_int(b + 1) != values[b + 1]:
-            return None
-        return result
-
-    if degc_bound is not None:
-        result = attempt(degc_bound)
-        if result is None:
-            raise BoundTooSmall("degree bound %d failed verification" % degc_bound)
-        return result
-
-    b = min(16, cap)
-    while True:
-        result = attempt(b)
-        if result is not None:
-            return result
-        if b >= cap:
-            raise BoundTooSmall("hit the Sylvester cap %d without converging" % cap)
-        b = min(2 * b, cap)
+    values = [value_at(c0) for c0 in range(bound + 2)]
+    try:
+        result = interpolate_intpolys(values[:-1], "x", F.cvar)
+    except DivisionNotExact as exc:
+        raise BoundTooSmall("degree bound %d failed verification" % bound) from exc
+    if result.specialize_c_int(bound + 1) != values[-1]:
+        raise BoundTooSmall("degree bound %d failed verification" % bound)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +413,34 @@ def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None,
 
 def resultant(F: BiPoly, G: BiPoly, method: str = "auto",
               degc_bound: int | None = None) -> IntPoly:
-    """Resultant of F and G in their main variable, exact over Z[c]."""
+    """Resultant of F and G in their main variable, exact over Z[c].
+
+    The automatic route first takes one Euclid step on a monic side:
+    Res(F, G) = Res(F, G rem F) for F monic, and
+    Res(F, G) = (-1)^(deg F deg G) Res(G, F rem G) for G monic.
+    """
     if method == "sylvester":
         return resultant_sylvester(F, G)
     if method == "interp":
         return resultant_interp(F, G, degc_bound)
     if method != "auto":
         raise ValueError("unknown method %r" % method)
-    if max(F.degree or 0, G.degree or 0) <= SYLVESTER_MAX_DEG:
-        return resultant_sylvester(F, G)
-    return resultant_interp(F, G, degc_bound)
+    if F.is_zero or G.is_zero:
+        raise ZeroPolynomial("resultant of the zero polynomial")
+    n, m = F.degree, G.degree
+    sign = 1
+    if F.is_monic and m >= n > 0:
+        G = G.rem_monic(F)
+    elif G.is_monic and n >= m > 0:
+        F, G = G, F.rem_monic(G)
+        sign = -1 if n * m % 2 else 1
+    if G.is_zero:
+        return IntPoly((), F.cvar)
+    if max(F.degree, G.degree) <= SYLVESTER_MAX_DEG:
+        res = resultant_sylvester(F, G)
+    else:
+        res = resultant_interp(F, G, degc_bound)
+    return res if sign == 1 else -res
 
 
 def charpoly_resultant(F: BiPoly, G: BiPoly, method: str = "auto",

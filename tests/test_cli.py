@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -144,3 +147,14 @@ def test_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "no-such-suite"])
     assert exc.value.code == 2
+
+
+def test_module_entry_point():
+    # python -m dynres runs the same command with src on the path only
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "dynres", "verify", "--quick"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("0 failed")

@@ -6,6 +6,7 @@ from dynres.families import (
     Family,
     conjugacy_check,
     dynatomic,
+    fixed_point_resultant,
     iterate,
     multiplier_degc_bound,
     multiplier_derivative,
@@ -15,7 +16,7 @@ from dynres.families import (
 )
 from dynres.numtheory import divisors, dynatomic_degree
 from dynres.polycore import BiPoly
-from dynres.resultants import charpoly_interp
+from dynres.resultants import charpoly_interp, orbit_degc_bound
 
 Z = BiPoly.gen("z")
 C = BiPoly.cgen("z")
@@ -140,13 +141,29 @@ def test_multiplier_degc_bound():
             for m in range(1, m_top + 1):
                 bound = multiplier_degc_bound(fam, m)
                 degc = multiplier_poly(fam, m).delta.deg_c
-                if kind in ("unicritical", "linearterm"):
-                    assert bound == degc, (kind, d, m)
-                else:
+                if kind == "shifted":
                     assert bound >= degc, (kind, d, m)
+                else:
+                    assert bound == degc, (kind, d, m)
     # the values behind the node counts of delta_6 and delta_5
     assert multiplier_degc_bound(Family("unicritical", 2), 6) == 27
     assert multiplier_degc_bound(Family("linearterm", 1), 5) == 30
+    # shifted d=4: deg_c delta_2 is 20; the single-slope bound was 80
+    assert multiplier_degc_bound(Family("shifted", 4), 2) == 28
+
+
+def test_orbit_bound_structure_pairs():
+    # Res_z(f^k - z, x - (f^m)') with sigma = f and h = f', each with
+    # f^k - z above degree 12, so the bound sets the interpolation nodes
+    for kind, d, k, m, degc in (("linearterm", 2, 3, 3, 81),
+                                ("unicritical", 2, 4, 2, 16),
+                                ("quadcrit", 1, 3, 1, 26),
+                                ("quadcrit", 2, 2, 2, 30)):
+        fam = Family(kind, d)
+        bound = orbit_degc_bound(iterate(fam, k) - Z,
+                                 fam.map_poly.derivative(), m)
+        res = fixed_point_resultant(fam, k, m)
+        assert bound == res.deg_c == degc, (kind, d, k, m)
 
 
 def test_multiplier_bound_one_short_raises():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dynres.errors import NotInSubring
@@ -150,6 +152,14 @@ def test_unicritical_leading_terms():
                 assert unicritical_res_lt_check(fam, k, m).passed
         for m in (1, 2, 3):
             assert unicritical_delta_lt_check(fam, m).passed
+
+
+def test_aux_cached_and_frozen():
+    aux = aux_shifted(2, 2, 2)
+    assert aux_shifted(2, 2, 2) is aux
+    assert aux_nonunicritical(2, 2, 2) is aux_nonunicritical(2, 2, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        aux.R = aux.G
 
 
 def test_aux_requires_divisor_pairs():

@@ -12,6 +12,7 @@ from dynres.resultants import (
     degc_cap,
     det_int,
     det_intpoly,
+    orbit_degc_bound,
     resultant,
     resultant_int,
     resultant_interp,
@@ -160,3 +161,61 @@ def test_specialization_commutes():
         fc = [F.coeff(i)(c0) for i in range(4)]
         gc = [G.coeff(i)(c0) for i in range(3)]
         assert R(c0) == resultant_int(fc, gc)
+
+
+def test_unproven_interpolant_regression():
+    # F = z - prod_{j<18} (c - j) equals z at the nodes c = 0..17, where
+    # the charpoly reads x and the resultant 0; an adaptive search that
+    # stopped there returned those.  The Sylvester cap, 18, sees the rest.
+    z = BiPoly.gen("z")
+    w = IntPoly.const(1, "c")
+    for j in range(18):
+        w = w * IntPoly([-j, 1], "c")
+    F = z - BiPoly((w,), "z")
+    G = z
+    want = resultant_sylvester(F, G)
+    assert want.degree == 18
+    assert resultant_interp(F, G) == want
+    x = charpoly_interp(F, G)
+    assert x.degree == 1 and x.coeff(0) == -want and x.is_monic
+
+
+def test_orbit_degc_bound_slopes():
+    z = BiPoly.gen("z")
+    c = BiPoly.cgen("z")
+    # roots 0 and +-sqrt(c) (slope 1/2); h = z + c is O(|c|) on all three
+    F = z ** 3 - c * z
+    h = z + c
+    assert orbit_degc_bound(F, h, 1) == 3
+    assert charpoly_resultant(F, h).deg_c == 3
+    # sigma(z) = -z permutes the roots; G = h(z) h(-z) = z^4 for h = z^2,
+    # which is O(|c|) on the nonzero roots and 0 at the root 0
+    assert orbit_degc_bound(F, z * z, 2) == 4
+    assert charpoly_resultant(F, z ** 4).deg_c == 4
+    with pytest.raises(ValueError):
+        orbit_degc_bound(2 * F, h, 1)
+
+
+def test_resultant_euclid_step():
+    z = BiPoly.gen("z")
+    c = BiPoly.cgen("z")
+    # odd times odd degree: the swapped order changes the sign
+    F = z ** 13 + c
+    G = z - c
+    for a, b in ((F, G), (G, F)):
+        assert resultant(a, b) == resultant_sylvester(a, b)
+    assert resultant(F, G) == -resultant(G, F)
+    # a non-monic side against a monic one, both orders
+    H = 2 * z ** 3 + c * z - 1
+    K = z ** 2 + c
+    for a, b in ((H, K), (K, H)):
+        assert resultant(a, b) == resultant_sylvester(a, b)
+
+
+def test_resultant_zero_remainder():
+    z = BiPoly.gen("z")
+    c = BiPoly.cgen("z")
+    F = z * z + c
+    for a, b in ((F, F * (z - 3)), (F * (z + c), F)):
+        assert resultant(a, b).is_zero
+        assert resultant_sylvester(a, b).is_zero
