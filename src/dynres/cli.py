@@ -315,7 +315,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_parabolic(args: argparse.Namespace) -> int:
-    fam = Family(args.family, args.d)
+    fam = Family("unicritical", args.d)
     if args.logistic is not None:
         rows = [classify_logistic(Fraction(args.logistic),
                                   m_max=args.m_max, j_max=args.j_max)]
@@ -323,10 +323,6 @@ def cmd_parabolic(args: argparse.Namespace) -> int:
         rows = [classify(fam, Fraction(args.c),
                          m_max=args.m_max, j_max=args.j_max)]
     else:
-        if fam.kind != "unicritical":
-            print("error: candidate enumeration exists only for z^d + c; "
-                  "give an explicit --c", file=sys.stderr)
-            return 2
         rows = [classify(fam, c, m_max=args.m_max, j_max=args.j_max)
                 for c in enumerate_candidates(args.d)]
     for row in rows:
@@ -380,9 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("parabolic", help="classify rational parameters")
-    p.add_argument("--family", choices=("unicritical", "linearterm"),
-                   default="unicritical")
+    p = sub.add_parser("parabolic",
+                       help="classify rational parameters of z^d + c")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--c", help="one parameter, as p/q "
                                "(write --c=-3/4 for negative values)")

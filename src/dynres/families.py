@@ -9,14 +9,18 @@ quadcrit      z^(d+2) + c z^2    (d >= 1)
 
 The period-n dynatomic polynomial is the Moebius product over divisors
 of n of (f^k(z) - z), assembled here as one numerator product, one
-denominator product and a single exact division.  The multiplier
-polynomial delta_m, whose m-th power is Res_z(Phi*_m, x - (f^m)'), is
-interpolated in c from integer nodes.  At each node its power sums are
-the traces of ((f^m)')^k modulo Phi*_m divided by m, for k up to its
-x-degree, and Newton's identities turn them into delta_m; the number of
-nodes comes from the proven bound multiplier_degc_bound.  The Moebius
-product of resultants and one exact m-th root give delta_m a second,
-independent time, in multiplier_via_product.
+denominator product and a single exact division; dynatomic_poly caches
+it, and also builds the dynatomic polynomials of an iterate f^l from
+the cached iterates of f.  The multiplier polynomial delta_m, whose
+m-th power is Res_z(Phi*_m, x - (f^m)'), is interpolated in c from
+integer nodes by resultants.charpoly_interp.  At each node its power
+sums are the traces of ((f^m)')^k modulo Phi*_m divided by m, for k up
+to its x-degree, and Newton's identities turn them into delta_m; the
+number of nodes comes from the proven bound multiplier_degc_bound.  The
+fixed-point resultants Res_z(f^k - z, x - (f^m)') take the same route
+with orbit_degc_bound nodes and are cached; their Moebius product and
+one exact m-th root give delta_m a second, independent time, in
+multiplier_via_product.
 
 Dynatomic degrees grow fast, so anything with degree above DEGREE_CAP
 is refused unless the caller passes allow_large=True.
@@ -30,7 +34,7 @@ from .errors import GuardrailExceeded
 from .numtheory import divisors, dynatomic_degree, mobius
 from .polycore import BiPoly, nth_root
 from .report import Verdict
-from .resultants import charpoly_interp, charpoly_resultant, orbit_degc_bound
+from .resultants import charpoly_interp, orbit_degc_bound
 
 DEGREE_CAP = 64
 
@@ -115,42 +119,27 @@ def _guard(fam: Family, n: int, allow_large: bool) -> int:
     return deg
 
 
-def dynatomic_of_map(map_poly: BiPoly, n: int) -> BiPoly:
-    """Dynatomic polynomial of an explicit monic map, by Moebius product."""
+@functools.lru_cache(maxsize=None)
+def dynatomic_poly(fam: Family, n: int, step: int = 1) -> BiPoly:
+    """Phi*_n of the map f^step: the Moebius product of
+    f^(step k)(z) - z over k | n, as one exact division."""
     if n < 1:
         raise ValueError("period must be positive")
-    z = BiPoly.gen(map_poly.main_var, map_poly.cvar)
-    iterates = {0: z}
-    for k in range(1, n + 1):
-        iterates[k] = map_poly.compose(iterates[k - 1])
-    num = BiPoly.const(1, map_poly.main_var, map_poly.cvar)
-    den = BiPoly.const(1, map_poly.main_var, map_poly.cvar)
-    for k in divisors(n):
-        mu = mobius(n // k)
-        if mu == 1:
-            num = num * (iterates[k] - z)
-        elif mu == -1:
-            den = den * (iterates[k] - z)
-    return num.exact_div(den)
-
-
-@functools.lru_cache(maxsize=None)
-def _dynatomic_cached(fam: Family, n: int) -> BiPoly:
     z = BiPoly.gen("z")
     num = BiPoly.const(1, "z")
     den = BiPoly.const(1, "z")
     for k in divisors(n):
         mu = mobius(n // k)
         if mu == 1:
-            num = num * (iterate(fam, k) - z)
+            num = num * (iterate(fam, step * k) - z)
         elif mu == -1:
-            den = den * (iterate(fam, k) - z)
+            den = den * (iterate(fam, step * k) - z)
     return num.exact_div(den)
 
 
 def dynatomic(fam: Family, n: int, allow_large: bool = False) -> DynatomicResult:
     deg = _guard(fam, n, allow_large)
-    poly = _dynatomic_cached(fam, n)
+    poly = dynatomic_poly(fam, n)
     if poly.degree != deg:
         raise AssertionError(
             "dynatomic degree %s disagrees with the divisor-sum formula %d"
@@ -171,6 +160,7 @@ def multiplier_derivative(fam: Family, m: int) -> BiPoly:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def fixed_point_resultant(fam: Family, k: int, m: int) -> BiPoly:
     """Res_z(f^k - z, x - (f^m)'), the m-th iterate's multipliers at the
     points of period dividing k.
@@ -180,8 +170,7 @@ def fixed_point_resultant(fam: Family, k: int, m: int) -> BiPoly:
     """
     fk = iterate(fam, k) - BiPoly.gen("z")
     bound = orbit_degc_bound(fk, fam.map_poly.derivative(), m)
-    return charpoly_resultant(fk, multiplier_derivative(fam, m),
-                              degc_bound=bound)
+    return charpoly_interp(fk, multiplier_derivative(fam, m), degc_bound=bound)
 
 
 def multiplier_scale(fam: Family, m: int) -> int:
@@ -206,13 +195,13 @@ def multiplier_degc_bound(fam: Family, m: int) -> int:
     O(|c|^v(t)) there, so deg_c delta_m is at most the sum of max(0, v)
     over the roots.
     """
-    return orbit_degc_bound(_dynatomic_cached(fam, m),
+    return orbit_degc_bound(dynatomic_poly(fam, m),
                             fam.map_poly.derivative(), m, m)
 
 
 @functools.lru_cache(maxsize=None)
 def _multiplier_cached(fam: Family, m: int) -> BiPoly:
-    phi = _dynatomic_cached(fam, m)
+    phi = dynatomic_poly(fam, m)
     omega = multiplier_derivative(fam, m)
     return charpoly_interp(phi, omega, degc_bound=multiplier_degc_bound(fam, m),
                            m=m)

@@ -26,14 +26,14 @@ import functools
 import math
 
 from .errors import NotInSubring
-from .families import (Family, dynatomic, dynatomic_of_map,
+from .families import (Family, dynatomic, dynatomic_poly,
                        fixed_point_resultant, iterate, multiplier_derivative,
                        multiplier_poly)
 from .numtheory import (common_prime_part, cyclotomic, divisors,
                         dynatomic_degree, euler_phi, factorize, mobius)
 from .polycore import BiPoly, IntPoly, eval_at_bipoly
 from .report import Verdict
-from .resultants import charpoly_resultant, orbit_degc_bound, resultant
+from .resultants import charpoly_interp, orbit_degc_bound, resultant
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +486,7 @@ def aux_nonunicritical(d: int, k: int, m: int) -> AuxPolys:
     F_k = _orbit_product(d, k) - 1
     cleared = _cleared_product(d, m)
     bound = orbit_degc_bound(F_k, _linear_factor(d), m)
-    R = charpoly_resultant(F_k, cleared, degc_bound=bound)
+    R = charpoly_interp(F_k, cleared, degc_bound=bound)
     return AuxPolys(d=d, k=k, m=m, F_k=F_k, cleared=cleared, R=R)
 
 
@@ -499,7 +499,7 @@ def aux_shifted(d: int, k: int, m: int) -> AuxShifted:
     G = (_orbit_product(d, m)) ** (d - 1) * _cleared_product(d, m)
     ftil = Family("shifted", d).map_poly
     bound = orbit_degc_bound(H_k, ftil.derivative(), m)
-    R = charpoly_resultant(H_k, G, degc_bound=bound)
+    R = charpoly_interp(H_k, G, degc_bound=bound)
     return AuxShifted(d=d, k=k, m=m, H_k=H_k, G=G, R=R)
 
 
@@ -827,7 +827,7 @@ def dynatomic_equality_check(fam: Family, k: int, m: int) -> Verdict:
     lhs = BiPoly.const(1, "z")
     for e in divisors(mtil):
         lhs = red(lhs * dynatomic(fam, e * mp, allow_large=True).poly)
-    mid = red(dynatomic_of_map(iterate(fam, mtil), mp))
+    mid = red(dynatomic_poly(fam, mp, mtil))
     first_ok = lhs == mid
 
     lam = red(multiplier_derivative(fam, k))
@@ -856,7 +856,7 @@ def coprime_product_check(fam: Family, l: int, n: int) -> Verdict:
     lhs = BiPoly.const(1, "z")
     for e in divisors(l):
         lhs = lhs * dynatomic(fam, e * n, allow_large=True).poly
-    rhs = dynatomic_of_map(iterate(fam, l), n)
+    rhs = dynatomic_poly(fam, n, l)
     ok = lhs == rhs
     return Verdict(check="coprime-dynatomic-product",
                    params={"family": fam.label(), "l": l, "n": n},

@@ -16,7 +16,7 @@ from .invariants import _cleared_rational_eval, _linear_factor, _orbit_product
 from .numtheory import dynatomic_degree
 from .polycore import BiPoly, IntPoly, NewtonPolygon
 from .report import Verdict
-from .resultants import charpoly_resultant, orbit_degc_bound
+from .resultants import charpoly_interp, orbit_degc_bound
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ def linear_resultant_polygon_check(d: int, k: int) -> list[Verdict]:
     """
     F_k = _orbit_product(d, k) - 1
     h = _linear_factor(d)
-    G = charpoly_resultant(F_k, h, degc_bound=orbit_degc_bound(F_k, h, 1))
+    G = charpoly_interp(F_k, h, degc_bound=orbit_degc_bound(F_k, h, 1))
     np_ = NewtonPolygon.of(G)
     slope = np_.single_slope()
     v1 = Verdict(check="linear-resultant-polygon-slope",

@@ -151,7 +151,6 @@ def _fpoly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         s = len(a) - len(b)
         for i, bi in enumerate(b):
             a[s + i] -= k * bi
-        a = _fpoly_trim(a[:-1] + [a[-1]])
         a = _fpoly_trim(a)
         if not a:
             break

@@ -31,6 +31,18 @@ def _strip(coeffs: Sequence) -> tuple:
     return tuple(coeffs[:n])
 
 
+def _int_polymul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Dense product of two ascending integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 @dataclasses.dataclass(init=False, eq=True)
 class IntPoly:
     """Polynomial in one variable over the integers.
@@ -117,14 +129,7 @@ class IntPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return IntPoly((), self.var)
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out, self.var)
+        return IntPoly(_int_polymul(self.coeffs, o.coeffs), self.var)
 
     __rmul__ = __mul__
 
@@ -437,12 +442,6 @@ class BiPoly:
         """Coefficients in the main variable after c -> c0, as exact numbers."""
         return _strip([a(c0) for a in self.coeffs])
 
-    def divexact_scalar(self, n: int) -> "BiPoly":
-        return BiPoly(
-            [a.divexact_scalar(n) for a in self.coeffs],
-            self.main_var, self.cvar,
-        )
-
     def scale_c(self, s: IntPoly) -> "BiPoly":
         """Multiply by a polynomial in c alone."""
         return BiPoly([a * s for a in self.coeffs], self.main_var, self.cvar)
@@ -539,17 +538,6 @@ def nth_root(p: BiPoly, n: int) -> BiPoly:
     if powers[n] != p:
         raise NotPerfectPower("re-expansion check failed")
     return root
-
-
-def interpolate_int(values: Sequence[int], var: str = "c") -> IntPoly:
-    """Integer polynomial through (0, v0), (1, v1), ..., (N, vN).
-
-    The width-1 case of interpolate_intpolys: exact Lagrange assembly
-    over consecutive integer nodes, and DivisionNotExact when the data
-    did not come from an integer polynomial of degree at most N.
-    """
-    points = [IntPoly.const(v, var) for v in values]
-    return interpolate_intpolys(points, cvar=var).coeff(0)
 
 
 def _master_poly(n: int) -> list[int]:

@@ -1,44 +1,41 @@
-"""Resultants in the main variable, by three independent routes.
+"""Resultants in the main variable: one production route per object,
+each with an independent oracle.
 
-Route one is the Sylvester matrix evaluated with fraction-free Bareiss
-elimination.  It is slow but entirely elementary, so it serves as the
-oracle for everything else.
+Res(F, x - G) for monic F, the shape of every multiplier resultant, is
+``charpoly_interp``: specialize c at consecutive integers from 0, take
+the characteristic polynomial of multiplication by G on the quotient
+ring modulo F at each node, and reassemble by exact Lagrange
+interpolation.  Per node, ``charpoly_int`` forms exact power sums of the
+roots of F, the traces of G^k modulo F, and Newton's identities; no
+fractions appear, and every division is by a small integer and checked.
+When the resultant is known to be an m-th power, as
+Res_z(Phi*_m, x - (f^m)') = delta_m^m is, the root index m returns the
+m-th root directly: its power sums are the traces divided by m, and
+only the first deg F / m of them are formed (Bostan, Flajolet, Salvy
+and Schost, "Fast computation of special resultants", 2006).  The
+number of nodes comes from a proven a-priori bound on the c-degree,
+never from a search: the caller's bound, typically orbit_degc_bound,
+which reads the growth of the roots at c = oo off a Newton polygon, or
+else the Sylvester-shape cap degc_cap.  One extra node is always
+computed and checked against the interpolated answer, and a mismatch
+raises BoundTooSmall rather than returning a wrong polynomial.
 
-Route two is evaluation-interpolation: specialize c at consecutive
-integers starting from 0, take exact integer resultants per node, and
-reassemble by exact Lagrange interpolation.  The number of nodes comes
-from a proven a-priori bound on the c-degree, never from a search: the
-caller's bound, typically orbit_degc_bound, which reads the growth of
-the roots at c = oo off a Newton polygon, or else the Sylvester-shape
-cap degc_cap.  One extra node is always computed and checked against
-the interpolated answer, and a mismatch raises BoundTooSmall rather
-than returning a wrong polynomial.  Before choosing a route, the
-dispatcher ``resultant`` takes one Euclid step on a monic side,
-Res(F, G) = Res(F, G rem F), so a large monic F against a small G
-stays on the Sylvester route.
+Res(F, G) in general is ``resultant``: one Euclid step on a monic side,
+Res(F, G) = Res(F, G rem F), then the Sylvester determinant, so a large
+monic F against a small G stays a small determinant.
 
-Route three applies only to resultants of the shape Res(F, x - G) with
-F monic: the answer is the characteristic polynomial of multiplication
-by G on the quotient ring modulo F, recovered from exact power sums and
-Newton's identities.  No fractions appear; every division is by a small
-integer and is checked.  When that resultant is known to be an m-th
-power, as Res_z(Phi*_m, x - (f^m)') = delta_m^m is, the per-node form
-(``charpoly_int`` with root index m) returns the m-th root directly:
-the power sums of delta_m are the traces of G^k modulo F divided by m,
-and only the first deg F / m of them are formed (Bostan, Flajolet,
-Salvy and Schost, "Fast computation of special resultants", 2006).
-
-The three routes are cross-tested against each other in the test suite
-and must agree wherever they are all defined.
+The oracles are the Sylvester matrices themselves, evaluated with
+fraction-free Bareiss elimination over Z[c] (``resultant_sylvester``)
+and over Z[c][x] (``charpoly_sylvester``).  They are slow but entirely
+elementary, and the test suite checks the production routes against
+them.
 """
 from __future__ import annotations
 
 from .errors import (BoundTooSmall, DivisionNotExact, NotPerfectPower,
                      ZeroPolynomial)
-from .polycore import (BiPoly, IntPoly, NewtonPolygon, interpolate_int,
+from .polycore import (BiPoly, IntPoly, NewtonPolygon, _int_polymul,
                        interpolate_intpolys)
-
-SYLVESTER_MAX_DEG = 12
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +77,6 @@ def bareiss_det(rows, is_zero, exact_div, zero, one):
     return det
 
 
-def _int_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise DivisionNotExact("Bareiss division left remainder")
-    return q
-
-
-def det_int(rows: list[list[int]]) -> int:
-    return bareiss_det(rows, lambda a: a == 0, _int_div, 0, 1)
-
-
 def _poly_div(a, b):
     return a.exact_div(b)
 
@@ -128,43 +114,21 @@ def _sylvester_rows(fc, gc, zero):
     return rows
 
 
-def resultant_int(fc: list[int], gc: list[int]) -> int:
-    """Integer resultant with the formal degrees len(fc)-1, len(gc)-1."""
-    if len(fc) - 1 <= 0 and len(gc) - 1 <= 0:
-        return 1
-    rows = _sylvester_rows(fc, gc, 0)
-    return det_int(rows)
-
-
 # ---------------------------------------------------------------------------
 # power-sum characteristic polynomials
 
 
-def _powersums_of_roots(fc, nsums, zero):
-    """Power sums t_0..t_{nsums-1} of the roots of a monic polynomial.
-
-    Newton's identities, run over any commutative ring containing the
-    coefficients (integers or IntPoly)."""
+def _powersums_of_roots(fc: list[int]) -> list[int]:
+    """Power sums t_0..t_{n-1} of the roots of a monic integer polynomial
+    of degree n, by Newton's identities."""
     n = len(fc) - 1
-    t = [zero + n]
-    for k in range(1, nsums):
-        acc = zero + fc[n - k] * k if k <= n else zero
-        for i in range(1, min(k, n + 1)):
-            if k - i < len(t):
-                acc = acc + fc[n - i] * t[k - i]
+    t = [n]
+    for k in range(1, n):
+        acc = fc[n - k] * k
+        for i in range(1, k):
+            acc += fc[n - i] * t[k - i]
         t.append(-acc)
     return t
-
-
-def _int_polymul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _int_polyrem_monic(a, f):
@@ -204,7 +168,7 @@ def charpoly_int(fc: list[int], gc: list[int], m: int = 1) -> IntPoly:
     deg = n // m
     if deg == 0:
         return IntPoly((1,), "x")
-    t = _powersums_of_roots(fc, n, 0)
+    t = _powersums_of_roots(fc)
     g = _int_polyrem_monic(gc, fc)
     p = []
     power = [1]
@@ -230,45 +194,8 @@ def charpoly_int(fc: list[int], gc: list[int], m: int = 1) -> IntPoly:
     return IntPoly(coeffs, "x")
 
 
-def charpoly_powersum(F: BiPoly, G: BiPoly) -> BiPoly:
-    """Symbolic power-sum charpoly: Res in the main variable of (F, x - G).
-
-    Stays inside Z[c] throughout; divisions occur only by the small
-    integers of Newton's identities and are checked exact.
-    """
-    if not F.is_monic:
-        raise ValueError("power-sum route needs F monic in the main variable")
-    cvar = F.cvar
-    n = F.degree
-    zero = IntPoly((), cvar)
-    if n == 0:
-        return BiPoly((1,), "x", cvar)
-    fc = [F.coeff(i) for i in range(n + 1)]
-    t = _powersums_of_roots(fc, n, zero)
-    g = G.rem_monic(F)
-    s = []
-    power = BiPoly((1,), F.main_var, cvar)
-    for _ in range(n):
-        power = (power * g).rem_monic(F)
-        acc = zero
-        for k in range(len(power.coeffs)):
-            acc = acc + power.coeff(k) * t[k]
-        s.append(acc)
-    e = [IntPoly.const(1, cvar)]
-    for i in range(1, n + 1):
-        acc = zero
-        for j in range(1, i + 1):
-            term = e[i - j] * s[j - 1]
-            acc = acc + term if j % 2 else acc - term
-        e.append(acc.divexact_scalar(i))
-    coeffs = [zero] * (n + 1)
-    for i in range(n + 1):
-        coeffs[n - i] = e[i] if i % 2 == 0 else -e[i]
-    return BiPoly(coeffs, "x", cvar)
-
-
 # ---------------------------------------------------------------------------
-# symbolic Sylvester routes
+# oracles: symbolic Sylvester determinants
 
 
 def resultant_sylvester(F: BiPoly, G: BiPoly) -> IntPoly:
@@ -310,7 +237,7 @@ def charpoly_sylvester(F: BiPoly, G: BiPoly) -> BiPoly:
 
 
 # ---------------------------------------------------------------------------
-# evaluation-interpolation routes
+# Res(F, x - G) by evaluation and interpolation
 
 
 def _degc(p: BiPoly) -> int:
@@ -350,33 +277,6 @@ def orbit_degc_bound(F: BiPoly, h: BiPoly, steps: int,
     return steps * total // root_index
 
 
-def resultant_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None) -> IntPoly:
-    """Res in the main variable via per-node integer resultants.
-
-    The nodes come from degc_bound, or from the Sylvester cap when it
-    is None; one extra node checks the bound and a mismatch raises
-    BoundTooSmall.
-    """
-    if F.is_zero or G.is_zero:
-        raise ZeroPolynomial("resultant of the zero polynomial")
-    n, m = F.degree, G.degree
-    bound = degc_cap(F, G) if degc_bound is None else degc_bound
-
-    def value_at(c0: int) -> int:
-        fc = [F.coeff(i)(c0) for i in range(n + 1)]
-        gc = [G.coeff(i)(c0) for i in range(m + 1)]
-        return resultant_int(fc, gc)
-
-    values = [value_at(c0) for c0 in range(bound + 2)]
-    try:
-        result = interpolate_int(values[:-1], F.cvar)
-    except DivisionNotExact as exc:
-        raise BoundTooSmall("degree bound %d failed verification" % bound) from exc
-    if result(bound + 1) != values[-1]:
-        raise BoundTooSmall("degree bound %d failed verification" % bound)
-    return result
-
-
 def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None,
                     m: int = 1) -> BiPoly:
     """Res(F, x - G) for monic F via per-node integer charpolys.
@@ -408,23 +308,17 @@ def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# dispatchers
+# Res(F, G)
 
 
-def resultant(F: BiPoly, G: BiPoly, method: str = "auto",
-              degc_bound: int | None = None) -> IntPoly:
+def resultant(F: BiPoly, G: BiPoly) -> IntPoly:
     """Resultant of F and G in their main variable, exact over Z[c].
 
-    The automatic route first takes one Euclid step on a monic side:
+    One Euclid step on a monic side comes first:
     Res(F, G) = Res(F, G rem F) for F monic, and
-    Res(F, G) = (-1)^(deg F deg G) Res(G, F rem G) for G monic.
+    Res(F, G) = (-1)^(deg F deg G) Res(G, F rem G) for G monic.  The
+    Sylvester determinant of the remaining pair is the answer.
     """
-    if method == "sylvester":
-        return resultant_sylvester(F, G)
-    if method == "interp":
-        return resultant_interp(F, G, degc_bound)
-    if method != "auto":
-        raise ValueError("unknown method %r" % method)
     if F.is_zero or G.is_zero:
         raise ZeroPolynomial("resultant of the zero polynomial")
     n, m = F.degree, G.degree
@@ -436,28 +330,5 @@ def resultant(F: BiPoly, G: BiPoly, method: str = "auto",
         sign = -1 if n * m % 2 else 1
     if G.is_zero:
         return IntPoly((), F.cvar)
-    if max(F.degree, G.degree) <= SYLVESTER_MAX_DEG:
-        res = resultant_sylvester(F, G)
-    else:
-        res = resultant_interp(F, G, degc_bound)
+    res = resultant_sylvester(F, G)
     return res if sign == 1 else -res
-
-
-def charpoly_resultant(F: BiPoly, G: BiPoly, method: str = "auto",
-                       degc_bound: int | None = None) -> BiPoly:
-    """Res(F, x - G) as a polynomial in x over Z[c]."""
-    if method == "sylvester":
-        return charpoly_sylvester(F, G)
-    if method == "powersum":
-        return charpoly_powersum(F, G)
-    if method == "interp":
-        return charpoly_interp(F, G, degc_bound)
-    if method != "auto":
-        raise ValueError("unknown method %r" % method)
-    if not F.is_monic:
-        if (F.degree or 0) <= SYLVESTER_MAX_DEG:
-            return charpoly_sylvester(F, G)
-        raise ValueError("large non-monic charpoly resultants are not supported")
-    if (F.degree or 0) <= SYLVESTER_MAX_DEG:
-        return charpoly_powersum(F, G)
-    return charpoly_interp(F, G, degc_bound)

@@ -135,9 +135,11 @@ def test_parabolic_d3_stops_below_guardrail(capsys):
 
 
 def test_parabolic_linearterm_needs_c(capsys):
-    rc = main(["parabolic", "--family", "linearterm", "--d", "1"])
-    assert rc == 2
-    assert "explicit --c" in capsys.readouterr().err
+    # parabolic classifies z^d + c only and takes no --family
+    with pytest.raises(SystemExit) as exc:
+        main(["parabolic", "--family", "linearterm", "--c", "1/2"])
+    assert exc.value.code == 2
+    assert "--family" in capsys.readouterr().err
 
 
 def test_usage_error():

@@ -6,6 +6,7 @@ from dynres.families import (
     Family,
     conjugacy_check,
     dynatomic,
+    dynatomic_poly,
     fixed_point_resultant,
     iterate,
     multiplier_degc_bound,
@@ -74,6 +75,18 @@ def test_dynatomic_product_identity():
             for k in divisors(n):
                 prod = prod * dynatomic(fam, k, allow_large=True).poly
             assert prod == iterate(fam, n) - Z
+
+
+def test_dynatomic_poly_of_iterate():
+    # Phi*_n of f^step is built from the iterates f^(step k)
+    fam = Family("unicritical", 2)
+    assert dynatomic_poly(fam, 3) is dynatomic(fam, 3).poly
+    assert dynatomic_poly(fam, 1, 2) == iterate(fam, 2) - Z
+    # f^2 - z over f - z: the period-2 points of f
+    assert dynatomic_poly(fam, 2, 1) == dynatomic(fam, 2).poly
+    # period 2 of f^2 is period 4 of f, by the Moebius product
+    assert (dynatomic_poly(fam, 2, 2)
+            == (iterate(fam, 4) - Z).exact_div(iterate(fam, 2) - Z))
 
 
 def test_guardrail():

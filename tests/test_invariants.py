@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from dynres.errors import NotInSubring
-from dynres.families import Family, multiplier_poly
+from dynres.families import Family, fixed_point_resultant, multiplier_poly
 from dynres.invariants import (
     aux_integrality_check,
     aux_leading_term_check,
@@ -160,6 +160,12 @@ def test_aux_cached_and_frozen():
     assert aux_nonunicritical(2, 2, 2) is aux_nonunicritical(2, 2, 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         aux.R = aux.G
+
+
+def test_fixed_point_resultant_cached():
+    fam = Family("shifted", 2)
+    res = fixed_point_resultant(fam, 2, 2)
+    assert fixed_point_resultant(Family("shifted", 2), 2, 2) is res
 
 
 def test_aux_requires_divisor_pairs():

@@ -5,7 +5,6 @@ from dynres.polycore import (
     BiPoly,
     IntPoly,
     eval_at_bipoly,
-    interpolate_int,
     interpolate_intpolys,
     nth_root,
 )
@@ -135,13 +134,18 @@ def test_nth_root_failures():
 
 
 def test_interpolate_int():
+    # width 1: integer values, read back as the x^0 coefficient
+    def interpolate(values):
+        points = [IntPoly.const(v, "c") for v in values]
+        return interpolate_intpolys(points, "x", "c").coeff(0)
+
     # values of 3c^2 - c + 5 at 0..4
     vals = [3 * t * t - t + 5 for t in range(5)]
-    assert interpolate_int(vals, "c").coeffs == (5, -1, 3)
-    assert interpolate_int([7], "c").coeffs == (7,)
+    assert interpolate(vals).coeffs == (5, -1, 3)
+    assert interpolate([7]).coeffs == (7,)
     with pytest.raises(DivisionNotExact):
         # no integer polynomial passes through these
-        interpolate_int([0, 1, 0, 0, 0, 0, 1])
+        interpolate([0, 1, 0, 0, 0, 0, 1])
 
 
 def test_interpolate_intpolys():

@@ -3,8 +3,9 @@ import random
 
 from dynres.polycore import BiPoly, IntPoly, nth_root
 from dynres.resultants import (
-    resultant_int,
-    resultant_interp,
+    charpoly_interp,
+    charpoly_sylvester,
+    resultant,
     resultant_sylvester,
 )
 
@@ -32,11 +33,19 @@ def test_nth_root_round_trip():
 
 
 def test_resultant_route_agreement():
+    # resultant takes its Euclid step on the monic side of each pair
     rng = random.Random(20240902)
     for _ in range(200):
         F = random_bipoly(rng, rng.randint(1, 4), rng.randint(0, 2), bound=5)
-        G = random_bipoly(rng, rng.randint(1, 4), rng.randint(0, 2), bound=5)
-        assert resultant_sylvester(F, G) == resultant_interp(F, G)
+        G = random_bipoly(rng, rng.randint(1, 4), rng.randint(0, 2), bound=5,
+                          monic=True)
+        assert resultant(F, G) == resultant_sylvester(F, G)
+        assert resultant(G, F) == resultant_sylvester(G, F)
+    for _ in range(100):
+        F = random_bipoly(rng, rng.randint(1, 4), rng.randint(0, 2), bound=5,
+                          monic=True)
+        G = random_bipoly(rng, rng.randint(0, 3), rng.randint(0, 2), bound=5)
+        assert charpoly_interp(F, G) == charpoly_sylvester(F, G)
 
 
 def test_resultant_specialization_commutes():
@@ -49,9 +58,9 @@ def test_resultant_specialization_commutes():
                           bound=5, monic=True)
         res = resultant_sylvester(F, G)
         c0 = rng.choice(points)
-        fc = [int(a) for a in F.specialize_c(c0)]
-        gc = [int(a) for a in G.specialize_c(c0)]
-        assert res(c0) == resultant_int(fc, gc)
+        Fc, Gc = (BiPoly([IntPoly.const(int(a), "c")
+                          for a in P.specialize_c(c0)], "z") for P in (F, G))
+        assert res(c0) == resultant_sylvester(Fc, Gc)(0)
 
 
 def test_resultant_base_change():

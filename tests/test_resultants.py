@@ -6,26 +6,33 @@ from dynres.polycore import BiPoly, IntPoly
 from dynres.resultants import (
     charpoly_int,
     charpoly_interp,
-    charpoly_powersum,
-    charpoly_resultant,
     charpoly_sylvester,
     degc_cap,
-    det_int,
     det_intpoly,
     orbit_degc_bound,
     resultant,
-    resultant_int,
-    resultant_interp,
     resultant_sylvester,
 )
 
 
+def const(*coeffs):
+    """A polynomial in z with constant integer coefficients."""
+    return BiPoly([IntPoly.const(a, "c") for a in coeffs], "z")
+
+
 def test_det_int():
-    assert det_int([[1, 2], [3, 4]]) == -2
-    assert det_int([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
-    assert det_int([[2, 0, 1], [1, 3, -1], [0, 5, 4]]) == 39
+    # integer matrices, as constant polynomials in c
+    def k(a):
+        return IntPoly.const(a, "c")
+
+    def det(rows):
+        return det_intpoly([[k(a) for a in row] for row in rows], "c")
+
+    assert det([[1, 2], [3, 4]]) == k(-2)
+    assert det([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == k(1)
+    assert det([[2, 0, 1], [1, 3, -1], [0, 5, 4]]) == k(39)
     # a singular matrix
-    assert det_int([[1, 2], [2, 4]]) == 0
+    assert det([[1, 2], [2, 4]]).is_zero
 
 
 def test_det_intpoly():
@@ -34,23 +41,27 @@ def test_det_intpoly():
     assert det_intpoly([[c, one], [one, c]], "c") == c * c - 1
 
 
-def test_resultant_int_orientation():
+def test_resultant_sylvester_orientation():
     # Res(z - a, z - b) = a - b: the second argument is evaluated at
     # the roots of the first
-    assert resultant_int([-5, 1], [-3, 1]) == 2
-    assert resultant_int([-3, 1], [-5, 1]) == -2
-    assert resultant_int([-7, 0, 0, 1], [7]) == 343
-    assert resultant_int([3], [5]) == 1
+    def res(fc, gc):
+        return resultant_sylvester(const(*fc), const(*gc)).coeffs
+
+    assert res([-5, 1], [-3, 1]) == (2,)
+    assert res([-3, 1], [-5, 1]) == (-2,)
+    assert res([-7, 0, 0, 1], [7]) == (343,)
+    assert res([3], [5]) == (1,)
 
 
-def test_resultant_int_multiplicative():
+def test_resultant_sylvester_multiplicative():
     # Res(FG, H) = Res(F, H) Res(G, H)
-    F = [-1, 1]          # z - 1
-    G = [2, 3, 1]        # (z + 1)(z + 2)
-    H = [1, 1, 1]
-    FG = [-2, -1, 2, 1]
-    assert (resultant_int(FG, H)
-            == resultant_int(F, H) * resultant_int(G, H))
+    F = const(-1, 1)        # z - 1
+    G = const(2, 3, 1)      # (z + 1)(z + 2)
+    H = const(1, 1, 1)
+    FG = const(-2, -1, 2, 1)
+    assert F * G == FG
+    assert (resultant_sylvester(FG, H)
+            == resultant_sylvester(F, H) * resultant_sylvester(G, H))
 
 
 def test_charpoly_int():
@@ -89,9 +100,8 @@ def test_charpoly_routes_agree():
     F = z ** 4 + c * z ** 2 - z + 2 * c + 1
     G = 3 * z ** 2 + c * z - 5
     a = charpoly_sylvester(F, G)
-    b = charpoly_powersum(F, G)
-    d = charpoly_interp(F, G)
-    assert a == b == d
+    b = charpoly_interp(F, G)
+    assert a == b
     assert a.is_monic
     assert a.degree == 4
 
@@ -102,7 +112,7 @@ def test_charpoly_known_value():
     x = BiPoly.gen("x")
     cx = BiPoly.cgen("x")
     # Res_z(z^2 + c, x - 2z) = x^2 + 4c
-    assert charpoly_resultant(z * z + c, 2 * z) == x * x + 4 * cx
+    assert charpoly_interp(z * z + c, 2 * z) == x * x + 4 * cx
 
 
 def test_charpoly_nonmonic_sylvester():
@@ -119,8 +129,8 @@ def test_resultant_routes_agree():
     c = BiPoly.cgen("z")
     F = z ** 3 + (c * c) * z - 2 * c + 1
     G = z ** 2 - c * z + 3
-    assert resultant_sylvester(F, G) == resultant_interp(F, G)
-    assert resultant(F, G, method="sylvester") == resultant(F, G)
+    assert resultant_sylvester(F, G) == resultant(F, G)
+    assert resultant_sylvester(G, F) == resultant(G, F)
 
 
 def test_degc_cap():
@@ -134,12 +144,15 @@ def test_degc_cap():
 def test_bound_too_small():
     z = BiPoly.gen("z")
     c = BiPoly.cgen("z")
+    x = BiPoly.gen("x")
+    cx = BiPoly.cgen("x")
+    # Res_z(z - c, x - (z - 1)) = x - c + 1 has c-degree 1
     with pytest.raises(BoundTooSmall):
-        resultant_interp(z - c, z - 1, degc_bound=0)
+        charpoly_interp(z - c, z - 1, degc_bound=0)
     with pytest.raises(BoundTooSmall):
         charpoly_interp(z - c, c * c, degc_bound=1)
     # the honest bound works
-    assert resultant_interp(z - c, z - 1, degc_bound=1) == IntPoly([-1, 1], "c")
+    assert charpoly_interp(z - c, z - 1, degc_bound=1) == x - cx + 1
 
 
 def test_zero_polynomial_refused():
@@ -148,7 +161,9 @@ def test_zero_polynomial_refused():
     with pytest.raises(ZeroPolynomial):
         resultant_sylvester(zero, z)
     with pytest.raises(ZeroPolynomial):
-        resultant_interp(z, zero)
+        resultant(z, zero)
+    with pytest.raises(ZeroPolynomial):
+        resultant(zero, z)
 
 
 def test_specialization_commutes():
@@ -158,9 +173,9 @@ def test_specialization_commutes():
     G = z ** 2 + 2 * c
     R = resultant(F, G)
     for c0 in (-3, -1, 0, 1, 2, 5):
-        fc = [F.coeff(i)(c0) for i in range(4)]
-        gc = [G.coeff(i)(c0) for i in range(3)]
-        assert R(c0) == resultant_int(fc, gc)
+        Fc = const(*[F.coeff(i)(c0) for i in range(4)])
+        Gc = const(*[G.coeff(i)(c0) for i in range(3)])
+        assert R(c0) == resultant_sylvester(Fc, Gc)(0)
 
 
 def test_unproven_interpolant_regression():
@@ -175,7 +190,7 @@ def test_unproven_interpolant_regression():
     G = z
     want = resultant_sylvester(F, G)
     assert want.degree == 18
-    assert resultant_interp(F, G) == want
+    assert resultant(F, G) == want
     x = charpoly_interp(F, G)
     assert x.degree == 1 and x.coeff(0) == -want and x.is_monic
 
@@ -187,11 +202,11 @@ def test_orbit_degc_bound_slopes():
     F = z ** 3 - c * z
     h = z + c
     assert orbit_degc_bound(F, h, 1) == 3
-    assert charpoly_resultant(F, h).deg_c == 3
+    assert charpoly_interp(F, h).deg_c == 3
     # sigma(z) = -z permutes the roots; G = h(z) h(-z) = z^4 for h = z^2,
     # which is O(|c|) on the nonzero roots and 0 at the root 0
     assert orbit_degc_bound(F, z * z, 2) == 4
-    assert charpoly_resultant(F, z ** 4).deg_c == 4
+    assert charpoly_interp(F, z ** 4).deg_c == 4
     with pytest.raises(ValueError):
         orbit_degc_bound(2 * F, h, 1)
 
