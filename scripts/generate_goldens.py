@@ -3,9 +3,11 @@
 Every golden is gated on an oracle before it is written: the table
 rows must agree with the hand-transcribed reference cells (including
 the documented sign and scalar corrections), and the polygon exports
-must pass the corresponding shape checks.  A golden that cannot be
-confirmed is not written and the script fails loudly, so a stale or
-wrong engine can never silently refresh the frozen data.
+must pass the corresponding shape checks.  All goldens are computed
+and gated first; only when every gate has passed are the old files
+removed and the new ones written.  A golden that cannot be confirmed
+makes the script fail loudly and leaves the frozen data as it was, so
+a stale or wrong engine can never silently refresh it.
 
 Run from the repository root:
 
@@ -24,11 +26,9 @@ sys.path.insert(0, str(ROOT / "tests"))
 import reference_tables as rt  # noqa: E402
 
 from dynres import newton  # noqa: E402
-from dynres.families import Family, multiplier_poly  # noqa: E402
-from dynres.invariants import lift_to_x, rescale_extract  # noqa: E402
-from dynres.numtheory import cyclotomic  # noqa: E402
-from dynres.polycore import IntPoly  # noqa: E402
-from dynres.resultants import resultant  # noqa: E402
+from dynres.families import Family  # noqa: E402
+from dynres.invariants import (cyclotomic_resultant,  # noqa: E402
+                               rescaled_multiplier)
 from dynres.serialize import encode_json  # noqa: E402
 
 GOLDEN = ROOT / "src" / "dynres" / "golden"
@@ -36,48 +36,41 @@ GOLDEN = ROOT / "src" / "dynres" / "golden"
 SLOW_SECONDS = 5.0
 
 
-def write_golden(name: str, meta: dict, canonical: str, elapsed: float) -> None:
+def golden(name: str, meta: dict, canonical: str, elapsed: float) -> tuple:
+    """(file name, file text) of one golden; prints its timing."""
     meta = dict(meta)
     if elapsed > SLOW_SECONDS:
         meta["slow"] = True
     payload = {"meta": meta, "canonical": canonical}
-    path = GOLDEN / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print("%-24s %6.2fs" % (name, elapsed))
+    return name, json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def rescaled_psi(kind: str, d: int, m: int):
-    fam = Family(kind, d)
-    res = multiplier_poly(fam, m)
-    scaled = res.delta.scale_c(IntPoly.const(res.scale))
-    psi, _sign = rescale_extract(scaled, fam)
-    return psi
-
-
-def gen_rescaled_tables() -> None:
+def gen_rescaled_tables() -> list[tuple]:
     plans = (("table1", "unicritical", rt.TABLE1),
              ("table2", "linearterm", rt.TABLE2),
              ("table3", "shifted", rt.TABLE3))
+    out = []
     for label, kind, table in plans:
         for (d, m), row in sorted(table.items()):
             t0 = time.perf_counter()
-            psi = rescaled_psi(kind, d, m)
+            psi, _sign = rescaled_multiplier(Family(kind, d), m)
             want = rt.expand_bivariate(row) ** row.get("cell_power", 1)
             if psi != want:
                 raise SystemExit("%s (%d, %d): engine disagrees with the "
                                  "reference cell" % (label, d, m))
-            write_golden("%s-d%d-m%d.json" % (label, d, m),
-                         {"object": "rescaled-multiplier", "family": kind,
-                          "d": d, "m": m},
-                         encode_json(psi), time.perf_counter() - t0)
+            out.append(golden("%s-d%d-m%d.json" % (label, d, m),
+                              {"object": "rescaled-multiplier",
+                               "family": kind, "d": d, "m": m},
+                              encode_json(psi), time.perf_counter() - t0))
+    return out
 
 
-def gen_cyclotomic_resultants() -> None:
+def gen_cyclotomic_resultants() -> list[tuple]:
+    out = []
     for (d, n, m), row in sorted(rt.TABLE4.items()):
         t0 = time.perf_counter()
-        fam = Family("quadcrit", d)
-        delta = multiplier_poly(fam, m).delta
-        value = resultant(lift_to_x(cyclotomic(n), "c"), delta)
+        value = cyclotomic_resultant(Family("quadcrit", d), n, m)
         want = rt.table4_engine_expected((d, n, m))
         if want is None:
             # The unprinted cell: gate on the published leading
@@ -88,13 +81,15 @@ def gen_cyclotomic_resultants() -> None:
         elif value != want:
             raise SystemExit("table4 (%d, %d, %d): engine disagrees with "
                              "the reference cell" % (d, n, m))
-        write_golden("table4-d%d-n%d-m%d.json" % (d, n, m),
-                     {"object": "cyclotomic-multiplier-resultant",
-                      "family": "quadcrit", "d": d, "n": n, "m": m},
-                     encode_json(value), time.perf_counter() - t0)
+        out.append(golden("table4-d%d-n%d-m%d.json" % (d, n, m),
+                          {"object": "cyclotomic-multiplier-resultant",
+                           "family": "quadcrit", "d": d, "n": n, "m": m},
+                          encode_json(value), time.perf_counter() - t0))
+    return out
 
 
-def gen_polygons() -> None:
+def gen_polygons() -> list[tuple]:
+    out = []
     plans = (("unicritical", 2, 5), ("unicritical", 3, 4),
              ("shifted", 1, 4), ("shifted", 2, 3))
     for kind, d, k_max in plans:
@@ -111,20 +106,23 @@ def gen_polygons() -> None:
                         raise SystemExit("polygon oracle failed: %s" %
                                          verdict.line())
         data = newton.polygon_export(d, k_max, kind)
-        write_golden("polygon-%s-d%d.json" % (kind, d),
-                     {"object": "iterate-polygons", "family": kind,
-                      "d": d, "k_max": k_max},
-                     json.dumps(data, sort_keys=True) + "\n",
-                     time.perf_counter() - t0)
+        out.append(golden("polygon-%s-d%d.json" % (kind, d),
+                          {"object": "iterate-polygons", "family": kind,
+                           "d": d, "k_max": k_max},
+                          json.dumps(data, sort_keys=True) + "\n",
+                          time.perf_counter() - t0))
+    return out
 
 
 def main() -> None:
+    # Every gate runs before the first file is touched.
+    goldens = gen_rescaled_tables() + gen_cyclotomic_resultants() \
+        + gen_polygons()
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.glob("*.json"):
         stale.unlink()
-    gen_rescaled_tables()
-    gen_cyclotomic_resultants()
-    gen_polygons()
+    for name, text in goldens:
+        (GOLDEN / name).write_text(text)
     print("done: %d goldens" % len(list(GOLDEN.glob("*.json"))))
 
 

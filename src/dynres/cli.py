@@ -12,9 +12,10 @@ Four subcommands:
   their periodic cycles.
 
 Exit status: 0 on success, 1 when a verify suite has a failing
-verdict, 2 on usage errors, 3 when a ``table`` computation hits the
-degree guardrail without ``--allow-large``.  ``parabolic`` stops below
-the guardrail with a note instead.
+verdict, 2 on usage errors (argparse's, and any ValueError raised for
+a bad parameter, which prints one ``error:`` line), 3 when a ``table``
+computation hits the degree guardrail without ``--allow-large``.
+``parabolic`` stops below the guardrail with a note instead.
 """
 from __future__ import annotations
 
@@ -35,12 +36,9 @@ from .families import (
 )
 from . import invariants as inv
 from . import newton
-from .invariants import lift_to_x
-from .numtheory import cyclotomic, divisors
+from .numtheory import divisors
 from .parabolic import classify, classify_logistic, enumerate_candidates
-from .polycore import IntPoly
 from .report import Report, Verdict
-from .resultants import resultant
 from .serialize import encode_csv, encode_json
 
 
@@ -61,14 +59,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     fam = Family(args.family, args.d)
     res = multiplier_poly(fam, args.m, allow_large=args.allow_large)
     if args.resultant is not None:
-        obj = resultant(lift_to_x(cyclotomic(args.resultant), "c"), res.delta)
+        obj = inv.cyclotomic_resultant(fam, args.resultant, args.m,
+                                       args.allow_large)
     elif args.rescaled:
-        try:
-            scaled = res.delta.scale_c(IntPoly.const(res.scale))
-            obj, sign = inv.rescale_extract(scaled, fam)
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
+        obj, sign = inv.rescaled_multiplier(fam, args.m, args.allow_large)
         if res.scale != 1:
             print("# scaled by %d before rescaling" % res.scale,
                   file=sys.stderr)
@@ -226,13 +220,10 @@ def _suite_dual_route(quick: bool) -> list[Verdict]:
     for kind, d, m_max in plan:
         fam = Family(kind, d)
         for m in range(1, m_max + 1):
-            a = multiplier_poly(fam, m).delta
-            b = multiplier_via_product(fam, m)
-            ok = a == b
-            out.append(Verdict(check="multiplier-route-agreement",
-                               params={"family": fam.label(), "m": m},
-                               passed=ok,
-                               residual=None if ok else str(a - b)))
+            out.append(Verdict.identity(
+                "multiplier-route-agreement",
+                {"family": fam.label(), "m": m},
+                multiplier_poly(fam, m).delta, multiplier_via_product(fam, m)))
     return out
 
 
@@ -240,15 +231,10 @@ def _golden_recompute(meta: dict):
     kind = meta["object"]
     if kind == "rescaled-multiplier":
         fam = Family(meta["family"], meta["d"])
-        res = multiplier_poly(fam, meta["m"])
-        scaled = res.delta.scale_c(IntPoly.const(res.scale))
-        psi, _sign = inv.rescale_extract(scaled, fam)
-        return encode_json(psi)
+        return encode_json(inv.rescaled_multiplier(fam, meta["m"])[0])
     if kind == "cyclotomic-multiplier-resultant":
         fam = Family(meta["family"], meta["d"])
-        delta = multiplier_poly(fam, meta["m"]).delta
-        value = resultant(lift_to_x(cyclotomic(meta["n"]), "c"), delta)
-        return encode_json(value)
+        return encode_json(inv.cyclotomic_resultant(fam, meta["n"], meta["m"]))
     if kind == "iterate-polygons":
         data = newton.polygon_export(meta["d"], meta["k_max"], meta["family"])
         return json.dumps(data, sort_keys=True) + "\n"
@@ -314,13 +300,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parabolic
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational parameter from the command line; a zero denominator is
+    a bad parameter like any other."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
+
+
 def cmd_parabolic(args: argparse.Namespace) -> int:
     fam = Family("unicritical", args.d)
     if args.logistic is not None:
-        rows = [classify_logistic(Fraction(args.logistic),
+        rows = [classify_logistic(_fraction(args.logistic),
                                   m_max=args.m_max, j_max=args.j_max)]
     elif args.c is not None:
-        rows = [classify(fam, Fraction(args.c),
+        rows = [classify(fam, _fraction(args.c),
                          m_max=args.m_max, j_max=args.j_max)]
     else:
         rows = [classify(fam, c, m_max=args.m_max, j_max=args.j_max)
@@ -400,6 +395,9 @@ def main(argv=None) -> int:
         print("guardrail: %s (re-run with --allow-large)" % exc,
               file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -253,12 +253,5 @@ def conjugacy_check(d: int) -> Verdict:
     z = BiPoly.gen("z")
     c = BiPoly.cgen("z")
     tau = z ** d + c
-    lhs = tau.compose(f)
-    rhs = ftil.compose(tau)
-    diff = lhs - rhs
-    return Verdict(
-        check="degree-d1-semiconjugacy",
-        params={"d": d},
-        passed=diff.is_zero,
-        residual=None if diff.is_zero else str(diff),
-    )
+    return Verdict.identity("degree-d1-semiconjugacy", {"d": d},
+                            tau.compose(f), ftil.compose(tau))

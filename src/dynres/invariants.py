@@ -28,7 +28,7 @@ import math
 from .errors import NotInSubring
 from .families import (Family, dynatomic, dynatomic_poly,
                        fixed_point_resultant, iterate, multiplier_derivative,
-                       multiplier_poly)
+                       multiplier_poly, multiplier_scale)
 from .numtheory import (common_prime_part, cyclotomic, divisors,
                         dynatomic_degree, euler_phi, factorize, mobius)
 from .polycore import BiPoly, IntPoly, eval_at_bipoly
@@ -43,14 +43,6 @@ from .resultants import charpoly_interp, orbit_degc_bound, resultant
 def lift_to_x(p: IntPoly, cvar: str = "c") -> BiPoly:
     """An integer polynomial in x viewed as a BiPoly with constant c-part."""
     return BiPoly([IntPoly.const(a, cvar) for a in p.coeffs], "x", cvar)
-
-
-def _eval_main_at_cpoly(P: BiPoly, q: IntPoly) -> IntPoly:
-    """Substitute a polynomial in c for the main variable."""
-    acc = IntPoly((), P.cvar)
-    for a in reversed(P.coeffs):
-        acc = acc * q + a
-    return acc
 
 
 def _cleared_rational_eval(P: BiPoly, num: IntPoly, den: int) -> IntPoly:
@@ -89,6 +81,21 @@ def _lt(p: IntPoly) -> tuple[int, int]:
     return p.degree, p.lc
 
 
+def _constant_lead(P: BiPoly, degc: int, coef: int) -> str | None:
+    """None when the top c-term of P is coef c^degc and sits in the
+    x-constant coefficient alone; otherwise what breaks that claim."""
+    problems = []
+    const = P.coeff(0)
+    if _lt(const) != (degc, coef):
+        problems.append("constant term leading %s c^%s, expected %s c^%s"
+                        % (const.lc, const.degree, coef, degc))
+    for i in range(1, len(P.coeffs)):
+        a = P.coeff(i)
+        if not a.is_zero and a.degree >= degc:
+            problems.append("x^%d coefficient reaches c-degree %d" % (i, a.degree))
+    return "; ".join(problems) or None
+
+
 # ---------------------------------------------------------------------------
 # Delta invariants
 
@@ -100,15 +107,20 @@ class DeltaInvariant:
     poly: IntPoly
 
 
+def cyclotomic_resultant(fam: Family, n: int, m: int,
+                         allow_large: bool = False) -> IntPoly:
+    """Res_x(cyc_n, delta_m), a polynomial in c."""
+    delta = multiplier_poly(fam, m, allow_large).delta
+    return resultant(lift_to_x(cyclotomic(n), delta.cvar), delta)
+
+
 def delta_nm(fam: Family, n: int, m: int,
              allow_large: bool = False) -> DeltaInvariant:
     """Delta_{n,m}; the diagonal case divides delta_n(1) by the others."""
     if m < 1 or n < 1 or n % m:
         raise ValueError("need m | n")
     if m < n:
-        delta = multiplier_poly(fam, m, allow_large).delta
-        cyc = lift_to_x(cyclotomic(n // m), delta.cvar)
-        poly = resultant(cyc, delta)
+        poly = cyclotomic_resultant(fam, n // m, m, allow_large)
         return DeltaInvariant(n=n, m=m, poly=poly)
     value = multiplier_poly(fam, n, allow_large).delta.eval_main_int(1)
     for k in divisors(n):
@@ -249,13 +261,19 @@ def rescale_extract(obj, fam: Family, newvar: str = "C"):
     return psi, sign
 
 
+def rescaled_multiplier(fam: Family, m: int, allow_large: bool = False):
+    """The scaled delta_m in the family's rescaled variable, as the pair
+    (psi, sign) of rescale_extract; raises NotInSubring off the subring."""
+    res = multiplier_poly(fam, m, allow_large)
+    return rescale_extract(res.delta.scale_c(IntPoly.const(res.scale)), fam)
+
+
 def integrality_check(fam: Family, m: int, allow_large: bool = False) -> Verdict:
     """Scaled delta_m lies in the family's rescaled subring."""
-    res = multiplier_poly(fam, m, allow_large)
-    scaled = res.delta.scale_c(IntPoly.const(res.scale))
-    params = {"family": fam.label(), "m": m, "scale": res.scale}
+    params = {"family": fam.label(), "m": m,
+              "scale": multiplier_scale(fam, m)}
     try:
-        _psi, sign = rescale_extract(scaled, fam)
+        _psi, sign = rescaled_multiplier(fam, m, allow_large)
     except NotInSubring as exc:
         return Verdict(check="delta-rescale-integrality", params=params,
                        passed=False, residual=str(exc))
@@ -270,9 +288,7 @@ def monicness_check(fam: Family, m: int, allow_large: bool = False) -> Verdict:
     the degree-(d+1) families only monic-up-to-unit is claimed, so the
     check asserts |sign| = 1 and records which sign occurred.
     """
-    res = multiplier_poly(fam, m, allow_large)
-    scaled = res.delta.scale_c(IntPoly.const(res.scale))
-    psi, sign = rescale_extract(scaled, fam)
+    _psi, sign = rescaled_multiplier(fam, m, allow_large)
     params = {"family": fam.label(), "m": m}
     if fam.kind == "unicritical":
         dm = dynatomic_degree(fam.d, m)
@@ -374,21 +390,10 @@ def unicritical_res_lt_check(fam: Family, k: int, m: int) -> Verdict:
     coef = d ** (d * m * d ** (k - 1))
     if d ** k * (1 + m * (d - 1)) % 2:
         coef = -coef
-    problems = []
-    const = res.coeff(0)
-    if _lt(const) != (degc, coef):
-        problems.append("constant term has leading %s c^%s"
-                        % (const.lc, const.degree))
-    for i in range(1, len(res.coeffs)):
-        a = res.coeff(i)
-        if not a.is_zero and a.degree >= degc:
-            problems.append("x^%d coefficient reaches c-degree %d" % (i, a.degree))
-    return Verdict(
-        check="fixedpoint-resultant-leading-term",
-        params={"family": fam.label(), "k": k, "m": m},
-        passed=not problems,
-        residual="; ".join(problems) or None,
-    )
+    residual = _constant_lead(res, degc, coef)
+    return Verdict(check="fixedpoint-resultant-leading-term",
+                   params={"family": fam.label(), "k": k, "m": m},
+                   passed=residual is None, residual=residual)
 
 
 def unicritical_delta_lt_check(fam: Family, m: int,
@@ -404,20 +409,10 @@ def unicritical_delta_lt_check(fam: Family, m: int,
     coef = d ** dm
     if (dm // m + dm * (d - 1)) % 2:
         coef = -coef
-    problems = []
-    if _lt(delta.coeff(0)) != (degc, coef):
-        problems.append("constant term has leading %s c^%s"
-                        % (delta.coeff(0).lc, delta.coeff(0).degree))
-    for i in range(1, len(delta.coeffs)):
-        a = delta.coeff(i)
-        if not a.is_zero and a.degree >= degc:
-            problems.append("x^%d coefficient reaches c-degree %d" % (i, a.degree))
-    return Verdict(
-        check="delta-constant-leading-term",
-        params={"family": fam.label(), "m": m},
-        passed=not problems,
-        residual="; ".join(problems) or None,
-    )
+    residual = _constant_lead(delta, degc, coef)
+    return Verdict(check="delta-constant-leading-term",
+                   params={"family": fam.label(), "m": m},
+                   passed=residual is None, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -444,20 +439,12 @@ class AuxShifted:
     R: BiPoly             # Res_z(H_k, x - G)
 
 
-def _ftil_iterates(d: int, upto: int) -> list[BiPoly]:
-    ftil = Family("shifted", d).map_poly
-    out = [BiPoly.gen("z")]
-    for _ in range(upto):
-        out.append(ftil.compose(out[-1]))
-    return out
-
-
 def _orbit_product(d: int, k: int) -> BiPoly:
     """z * ftil(z) * ... * ftil^(k-1)(z); this is F_k + 1."""
-    its = _ftil_iterates(d, k - 1)
+    shifted = Family("shifted", d)
     out = BiPoly.const(1, "z")
     for i in range(k):
-        out = out * its[i]
+        out = out * iterate(shifted, i)
     return out
 
 
@@ -468,11 +455,11 @@ def _linear_factor(d: int) -> BiPoly:
 
 def _cleared_product(d: int, m: int) -> BiPoly:
     """prod over i < m of ((d+1) ftil^i(z) - dc), denominators cleared."""
-    its = _ftil_iterates(d, m - 1)
+    shifted = Family("shifted", d)
     factor = _linear_factor(d)
     out = BiPoly.const(1, "z")
     for i in range(m):
-        out = out * factor.compose(its[i])
+        out = out * factor.compose(iterate(shifted, i))
     return out
 
 
@@ -512,36 +499,24 @@ def linearterm_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
     aux = aux_nonunicritical(d, k, m)
     out = []
 
-    lhs = iterate(fam, k) - z
-    rhs = z * aux.F_k.compose(tau)
-    out.append(Verdict(
-        check="orbit-product-identity",
-        params={"d": d, "k": k}, passed=lhs == rhs,
-        residual=None if lhs == rhs else str(lhs - rhs)))
+    out.append(Verdict.identity("orbit-product-identity", {"d": d, "k": k},
+                                iterate(fam, k) - z, z * aux.F_k.compose(tau)))
+    out.append(Verdict.identity("derivative-product-identity",
+                                {"d": d, "m": m},
+                                multiplier_derivative(fam, m),
+                                _cleared_product(d, m).compose(tau)))
 
-    deriv = multiplier_derivative(fam, m)
-    rhs2 = _cleared_product(d, m).compose(tau)
-    out.append(Verdict(
-        check="derivative-product-identity",
-        params={"d": d, "m": m}, passed=deriv == rhs2,
-        residual=None if deriv == rhs2 else str(deriv - rhs2)))
-
-    res = fixed_point_resultant(fam, k, m)
     x = BiPoly.gen("x")
     cm = BiPoly.const(IntPoly([0] * m + [1], "c"), "x")
-    split = (x - cm) * aux.R ** d
-    out.append(Verdict(
-        check="resultant-split-fixed-factor",
-        params={"family": fam.label(), "k": k, "m": m},
-        passed=res == split,
-        residual=None if res == split else str(res - split)))
+    out.append(Verdict.identity("resultant-split-fixed-factor",
+                                {"family": fam.label(), "k": k, "m": m},
+                                fixed_point_resultant(fam, k, m),
+                                (x - cm) * aux.R ** d))
 
     ftil = Family("shifted", d).map_poly
-    perm = aux.F_k.compose(ftil).rem_monic(aux.F_k)
-    out.append(Verdict(
-        check="aux-root-permutation",
-        params={"d": d, "k": k}, passed=perm.is_zero,
-        residual=None if perm.is_zero else str(perm)))
+    out.append(Verdict.identity("aux-root-permutation", {"d": d, "k": k},
+                                aux.F_k.compose(ftil).rem_monic(aux.F_k),
+                                BiPoly()))
     return out
 
 
@@ -553,37 +528,26 @@ def shifted_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
     aux = aux_shifted(d, k, m)
     out = []
 
-    lhs = iterate(fam, k) - z
-    rhs = (z - c) * aux.H_k
-    out.append(Verdict(
-        check="orbit-product-identity",
-        params={"family": fam.label(), "k": k}, passed=lhs == rhs,
-        residual=None if lhs == rhs else str(lhs - rhs)))
-
+    out.append(Verdict.identity("orbit-product-identity",
+                                {"family": fam.label(), "k": k},
+                                iterate(fam, k) - z, (z - c) * aux.H_k))
     deriv = multiplier_derivative(fam, m)
-    out.append(Verdict(
-        check="derivative-product-identity",
-        params={"family": fam.label(), "m": m}, passed=deriv == aux.G,
-        residual=None if deriv == aux.G else str(deriv - aux.G)))
+    out.append(Verdict.identity("derivative-product-identity",
+                                {"family": fam.label(), "m": m},
+                                deriv, aux.G))
 
     res = fixed_point_resultant(fam, k, m)
     x = BiPoly.gen("x")
     cmd = BiPoly.const(IntPoly([0] * (m * d) + [1], "c"), "x")
-    split = (x - cmd) * aux.R
-    out.append(Verdict(
-        check="resultant-split-fixed-factor",
-        params={"family": fam.label(), "k": k, "m": m},
-        passed=res == split,
-        residual=None if res == split else str(res - split)))
+    out.append(Verdict.identity("resultant-split-fixed-factor",
+                                {"family": fam.label(), "k": k, "m": m},
+                                res, (x - cmd) * aux.R))
 
     # The fixed point z = c has multiplier c^(m d) under the m-th iterate.
-    mult_at_c = _eval_main_at_cpoly(deriv, IntPoly.gen("c"))
-    expect = IntPoly([0] * (m * d) + [1], "c")
-    out.append(Verdict(
-        check="fixed-multiplier-value",
-        params={"family": fam.label(), "m": m},
-        passed=mult_at_c == expect,
-        residual=None if mult_at_c == expect else str(mult_at_c - expect)))
+    out.append(Verdict.identity("fixed-multiplier-value",
+                                {"family": fam.label(), "m": m},
+                                deriv.eval_main_int(IntPoly.gen("c")),
+                                IntPoly([0] * (m * d) + [1], "c")))
 
     # Conjugating z by a d-th root of unity fixes the resultant, so its
     # x-coefficients only involve powers c^(d j).
@@ -628,11 +592,8 @@ def delta_aux_product_check(kind: str, d: int, m: int,
     if _epsilon(m):
         x = BiPoly.gen("x")
         ratio = (x - BiPoly.const(IntPoly([0] * fix_deg + [1], "c"), "x")) * ratio
-    ok = lhs == ratio
-    return Verdict(
-        check="delta-aux-product",
-        params={"family": fam.label(), "m": m},
-        passed=ok, residual=None if ok else str(lhs - ratio))
+    return Verdict.identity("delta-aux-product",
+                            {"family": fam.label(), "m": m}, lhs, ratio)
 
 
 def aux_integrality_check(kind: str, d: int, k: int, m: int) -> Verdict:
@@ -668,19 +629,10 @@ def aux_leading_term_check(d: int, k: int, m: int) -> Verdict:
     sign_exp = ((m + 1) * ((d + 1) ** k - 1) + m * ((d + 1) ** (k - 1) - 1)) // d
     if sign_exp % 2:
         coef = -coef
-    problems = []
-    # The top c-degree must sit in the x-constant coefficient alone.
-    if _lt(R.coeff(0)) != (degc, coef):
-        problems.append("constant term leading %s c^%s, expected %s c^%s"
-                        % (R.coeff(0).lc, R.coeff(0).degree, coef, degc))
-    for i in range(1, len(R.coeffs)):
-        a = R.coeff(i)
-        if not a.is_zero and a.degree >= degc:
-            problems.append("x^%d coefficient reaches c-degree %d" % (i, a.degree))
+    residual = _constant_lead(R, degc, coef)
     return Verdict(check="aux-leading-term",
                    params={"d": d, "k": k, "m": m},
-                   passed=not problems,
-                   residual="; ".join(problems) or None)
+                   passed=residual is None, residual=residual)
 
 
 def aux_shifted_leading_check(d: int, k: int, m: int) -> Verdict:
@@ -709,9 +661,7 @@ def cleared_eval_lt_check(d: int, k: int) -> list[Verdict]:
     of (z-c) z^d + c and for P = F_k."""
     out = []
     nm = IntPoly((0, d), "c")   # d*c
-    its = _ftil_iterates(d, k)
-    fk = its[k]
-    val = _cleared_rational_eval(fk, nm, d + 1)
+    val = _cleared_rational_eval(iterate(Family("shifted", d), k), nm, d + 1)
     e = (d + 1) ** (k - 1)
     expect_deg = (d + 1) * e
     expect_coef = (d ** d) ** e
@@ -753,13 +703,9 @@ def quadcrit_delta1_closed(d: int) -> BiPoly:
 
 
 def quadcrit_closed_form_check(d: int) -> Verdict:
-    fam = Family("quadcrit", d)
-    computed = multiplier_poly(fam, 1).delta
-    closed = quadcrit_delta1_closed(d)
-    ok = computed == closed
-    return Verdict(check="quadcrit-delta1-closed-form",
-                   params={"d": d}, passed=ok,
-                   residual=None if ok else str(computed - closed))
+    return Verdict.identity("quadcrit-delta1-closed-form", {"d": d},
+                            multiplier_poly(Family("quadcrit", d), 1).delta,
+                            quadcrit_delta1_closed(d))
 
 
 def quadcrit_lt_check(d: int, n: int) -> Verdict:
@@ -856,8 +802,6 @@ def coprime_product_check(fam: Family, l: int, n: int) -> Verdict:
     lhs = BiPoly.const(1, "z")
     for e in divisors(l):
         lhs = lhs * dynatomic(fam, e * n, allow_large=True).poly
-    rhs = dynatomic_poly(fam, n, l)
-    ok = lhs == rhs
-    return Verdict(check="coprime-dynatomic-product",
-                   params={"family": fam.label(), "l": l, "n": n},
-                   passed=ok, residual=None if ok else str(lhs - rhs))
+    return Verdict.identity("coprime-dynatomic-product",
+                            {"family": fam.label(), "l": l, "n": n},
+                            lhs, dynatomic_poly(fam, n, l))

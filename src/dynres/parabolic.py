@@ -29,7 +29,7 @@ from math import gcd
 from .errors import GuardrailExceeded
 from .families import Family, multiplier_poly
 from .numtheory import cyclotomic
-from .polycore import IntPoly
+from .polycore import IntPoly, _horner
 
 
 def naive_height(c: Fraction) -> int:
@@ -144,49 +144,32 @@ def _fpoly_trim(p: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def _fpoly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _fpoly_divmod(a: list[Fraction],
+                  b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and trimmed remainder of a by a nonzero b over Q."""
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     a = list(a)
     while len(a) >= len(b):
         k = a[-1] / b[-1]
         s = len(a) - len(b)
+        q[s] = k
         for i, bi in enumerate(b):
             a[s + i] -= k * bi
         a = _fpoly_trim(a)
-        if not a:
-            break
-    return a
+    return q, a
 
 
 def _fpoly_deriv(p: list[Fraction]) -> list[Fraction]:
     return [i * a for i, a in enumerate(p)][1:]
 
 
-def _fpoly_eval(p: list[Fraction], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for a in reversed(p):
-        acc = acc * t + a
-    return acc
-
-
 def _squarefree_part(p: list[Fraction]) -> list[Fraction]:
     a, b = list(p), _fpoly_deriv(p)
     while b:
-        a, b = b, _fpoly_rem(a, b)
+        a, b = b, _fpoly_divmod(a, b)[1]
     if len(a) <= 1:
         return list(p)
-    g = a
-    q = list(p)
-    # divide p by g exactly
-    out = [Fraction(0)] * (len(q) - len(g) + 1)
-    while len(q) >= len(g):
-        k = q[-1] / g[-1]
-        out[len(q) - len(g)] = k
-        for i, gi in enumerate(g):
-            q[len(q) - len(g) + i] -= k * gi
-        q = _fpoly_trim(q)
-        if not q:
-            break
-    return out
+    return _fpoly_divmod(p, a)[0]
 
 
 def sturm_count(p: list[Fraction], a: Fraction, b: Fraction) -> int:
@@ -196,13 +179,13 @@ def sturm_count(p: list[Fraction], a: Fraction, b: Fraction) -> int:
         return 0
     chain = [p, _fpoly_deriv(p)]
     while chain[-1]:
-        nxt = [-x for x in _fpoly_rem(chain[-2], chain[-1])]
+        nxt = [-x for x in _fpoly_divmod(chain[-2], chain[-1])[1]]
         if not nxt:
             break
         chain.append(nxt)
 
     def variations(t: Fraction) -> int:
-        signs = [v for q in chain if (v := _fpoly_eval(q, t)) != 0]
+        signs = [v for q in chain if (v := _horner(q, t, Fraction(0))) != 0]
         return sum(1 for u, v in zip(signs, signs[1:]) if (u > 0) != (v > 0))
 
     return variations(a) - variations(b)
@@ -274,6 +257,10 @@ def classify(fam: Family, c: Fraction, m_max: int = 6, j_max: int = 12,
     """
     if fam.kind != "unicritical":
         raise ValueError("classification is implemented for z^d + c")
+    # The Sturm count below runs over (-1, 1] and relies on cyc_1 having
+    # caught a multiplier 1, so j_max = 0 would call 1/4 attracting.
+    if m_max < 1 or j_max < 1:
+        raise ValueError("need m_max >= 1 and j_max >= 1")
     c = Fraction(c)
     notes = []
     note = chebyshev_note(c)

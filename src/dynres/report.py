@@ -21,6 +21,15 @@ class Verdict:
     residual: str | None = None
     witness: dict[str, Any] | None = None
 
+    @classmethod
+    def identity(cls, check: str, params: dict[str, Any], lhs,
+                 rhs) -> "Verdict":
+        """The verdict on the exact identity lhs == rhs; on failure the
+        residual is the difference lhs - rhs."""
+        ok = lhs == rhs
+        return cls(check=check, params=params, passed=ok,
+                   residual=None if ok else str(lhs - rhs))
+
     def line(self) -> str:
         tag = "pass" if self.passed else "FAIL"
         bits = " ".join("%s=%s" % (k, v) for k, v in sorted(self.params.items()))

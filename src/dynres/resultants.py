@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from .errors import (BoundTooSmall, DivisionNotExact, NotPerfectPower,
                      ZeroPolynomial)
-from .polycore import (BiPoly, IntPoly, NewtonPolygon, _int_polymul,
-                       interpolate_intpolys)
+from .polycore import (BiPoly, IntPoly, NewtonPolygon, _polymul,
+                       _polyrem_monic, interpolate_intpolys)
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +131,6 @@ def _powersums_of_roots(fc: list[int]) -> list[int]:
     return t
 
 
-def _int_polyrem_monic(a, f):
-    """Remainder of a modulo monic f, ascending int lists."""
-    n = len(f) - 1
-    a = list(a)
-    for i in range(len(a) - 1, n - 1, -1):
-        top = a[i]
-        if top:
-            for j in range(n):
-                a[i - n + j] -= top * f[j]
-            a[i] = 0
-    del a[n:]
-    return a
-
-
 def charpoly_int(fc: list[int], gc: list[int], m: int = 1) -> IntPoly:
     """The monic polynomial whose m-th power has roots G(alpha) over the
     roots alpha of F.
@@ -169,11 +155,11 @@ def charpoly_int(fc: list[int], gc: list[int], m: int = 1) -> IntPoly:
     if deg == 0:
         return IntPoly((1,), "x")
     t = _powersums_of_roots(fc)
-    g = _int_polyrem_monic(gc, fc)
+    g = _polyrem_monic(gc, fc)
     p = []
     power = [1]
     for _ in range(deg):
-        power = _int_polyrem_monic(_int_polymul(power, g), fc)
+        power = _polyrem_monic(_polymul(power, g), fc)
         q, r = divmod(sum(power[k] * t[k] for k in range(len(power))), m)
         if r:
             raise DivisionNotExact("trace not divisible by %d" % m)

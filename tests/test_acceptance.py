@@ -10,18 +10,18 @@ import sys
 import reference_tables as rt
 import test_properties
 
-from dynres.families import Family, multiplier_poly
+from dynres.families import Family
 from dynres.invariants import (
     degree_formula_check,
     delta_nm,
     dynatomic_equality_check,
     coprime_product_check,
-    lift_to_x,
+    cyclotomic_resultant,
     morton_vivaldi_check,
     quadcrit_closed_form_check,
     quadcrit_lt_check,
     cyclotomic_prime_check,
-    rescale_extract,
+    rescaled_multiplier,
 )
 from dynres.newton import (
     delta_polygon_check,
@@ -33,7 +33,6 @@ from dynres.newton import (
 from dynres.numtheory import cyclotomic, divisors, dynatomic_degree
 from dynres.parabolic import classify, enumerate_candidates
 from dynres.polycore import IntPoly
-from dynres.resultants import resultant
 
 FAM2 = Family("unicritical", 2)
 
@@ -44,14 +43,6 @@ def _check(label: str, ok: bool, detail: str = "") -> None:
     assert ok, "%s %s" % (label, detail)
 
 
-def _rescaled_psi(kind: str, d: int, m: int):
-    fam = Family(kind, d)
-    res = multiplier_poly(fam, m)
-    scaled = res.delta.scale_c(IntPoly.const(res.scale))
-    psi, _sign = rescale_extract(scaled, fam)
-    return psi
-
-
 def _table_rows_match(kind: str, table, degree_of) -> list[str]:
     bad = []
     for (d, m), row in sorted(table.items()):
@@ -60,7 +51,7 @@ def _table_rows_match(kind: str, table, degree_of) -> list[str]:
             bad.append("(%d, %d) degree column" % (d, m))
             continue
         want = rt.expand_bivariate(row) ** power
-        if _rescaled_psi(kind, d, m) != want:
+        if rescaled_multiplier(Family(kind, d), m)[0] != want:
             bad.append("(%d, %d)" % (d, m))
     return bad
 
@@ -90,8 +81,7 @@ def test_a04_cyclotomic_resultant_table():
     bad = []
     for key, row in sorted(rt.TABLE4.items()):
         d, n, m = key
-        delta = multiplier_poly(Family("quadcrit", d), m).delta
-        value = resultant(lift_to_x(cyclotomic(n), "c"), delta)
+        value = cyclotomic_resultant(Family("quadcrit", d), n, m)
         want = rt.table4_engine_expected(key)
         if want is None:
             # the cell too long to print: gate on the published

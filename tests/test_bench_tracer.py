@@ -1,0 +1,37 @@
+"""The benchmark's tracer, perfbench/tracer.py, installs on dynres and
+uninstalls cleanly.  It wraps every public function of every module it
+names, and BiPoly.exact_div through BiPoly.__dict__["exact_div"]; a
+refactor that moves a traced name breaks every traced benchmark run,
+and this test catches it first."""
+import importlib
+import importlib.util
+import pathlib
+
+TRACER = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+          / "tracer.py")
+
+
+def test_tracer_install_and_uninstall():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    mods = {name: importlib.import_module("dynres." + name)
+            for name in tracing.MODULES}
+    before = {name: dict(vars(mod)) for name, mod in mods.items()}
+    fams = mods["families"]
+    BiPoly = mods["polycore"].BiPoly
+    exact_div = BiPoly.__dict__["exact_div"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        z = BiPoly.gen("z")
+        assert (z * z - 1).exact_div(z - 1) == z + 1
+        fams.iterate(fams.Family("unicritical", 2), 1)
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["polycore.BiPoly.exact_div"][0] == 1
+    assert tracer.stats["families.iterate"][0] == 1
+    assert BiPoly.__dict__["exact_div"] is exact_div
+    for name, mod in mods.items():
+        after = vars(mod)
+        assert all(after[k] is v for k, v in before[name].items()), name

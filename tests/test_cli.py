@@ -142,6 +142,27 @@ def test_parabolic_linearterm_needs_c(capsys):
     assert "--family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--family", "unicritical", "--d", "1"],
+    ["table", "--family", "unicritical", "--d", "2", "--m", "0"],
+    ["table", "--family", "unicritical", "--d", "2", "--resultant", "0"],
+    ["parabolic", "--c", "1/0"],
+    ["parabolic", "--c", "abc"],
+    ["parabolic", "--d", "1"],
+    ["parabolic", "--c", "1/4", "--j-max", "0"],
+    ["parabolic", "--m-max", "0"],
+    ["polygon", "--d", "0"],
+])
+def test_bad_parameter_is_usage_error(argv, capsys):
+    # exit 1 means a failed verify check; a bad parameter is exit 2 with
+    # one error line and no traceback
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["table"])

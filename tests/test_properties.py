@@ -1,7 +1,7 @@
 """Randomized identities, exact equality on every case."""
 import random
 
-from dynres.polycore import BiPoly, IntPoly, nth_root
+from dynres.polycore import BiPoly, IntPoly, _polyrem_monic, nth_root
 from dynres.resultants import (
     charpoly_interp,
     charpoly_sylvester,
@@ -61,6 +61,12 @@ def test_resultant_specialization_commutes():
         Fc, Gc = (BiPoly([IntPoly.const(int(a), "c")
                           for a in P.specialize_c(c0)], "z") for P in (F, G))
         assert res(c0) == resultant_sylvester(Fc, Gc)(0)
+        # the remainder kernel on Z[c] coefficients, then c -> c0, equals
+        # the same kernel on the integer coefficients at c0
+        A = G ** 3
+        rem_int = _polyrem_monic(A.specialize_c_int(c0).coeffs,
+                                 F.specialize_c_int(c0).coeffs)
+        assert A.rem_monic(F).specialize_c_int(c0) == IntPoly(rem_int, "z")
 
 
 def test_resultant_base_change():

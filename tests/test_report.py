@@ -1,0 +1,14 @@
+from dynres.polycore import IntPoly
+from dynres.report import Verdict
+
+
+def test_verdict_identity():
+    p = IntPoly([1, 2], "c")
+    v = Verdict.identity("square", {"n": 1}, p * p, IntPoly([1, 4, 4], "c"))
+    assert v.passed
+    assert v.residual is None and v.witness is None
+    lhs, rhs = p * p, IntPoly([1, 4, 3], "c")
+    v = Verdict.identity("square", {"n": 1}, lhs, rhs)
+    assert not v.passed
+    assert v.residual == str(lhs - rhs) == "c^2"
+    assert v.line() == "FAIL square n=1  [c^2]"
