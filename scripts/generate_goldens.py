@@ -1,11 +1,13 @@
 """Regenerate the frozen golden files under src/dynres/golden/.
 
-Every golden is gated on an oracle before it is written: the table
-rows must agree with the hand-transcribed reference cells (including
-the documented sign and scalar corrections), and the polygon exports
-must pass the corresponding shape checks.  All goldens are computed
-and gated first; only when every gate has passed are the old files
-removed and the new ones written.  A golden that cannot be confirmed
+Each golden's canonical text comes from dynres.cli.golden_recompute,
+the function `dynres verify --suite goldens` compares it with, and is
+gated on an oracle before it is written: the decoded table rows must
+agree with the hand-transcribed reference cells (including the
+documented sign and scalar corrections), and the polygon exports must
+pass the corresponding shape checks.  All goldens are computed and
+gated first; only when every gate has passed are the old files removed
+and the new ones written.  A golden that cannot be confirmed
 makes the script fail loudly and leaves the frozen data as it was, so
 a stale or wrong engine can never silently refresh it.
 
@@ -26,10 +28,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 import reference_tables as rt  # noqa: E402
 
 from dynres import newton  # noqa: E402
-from dynres.families import Family  # noqa: E402
-from dynres.invariants import (cyclotomic_resultant,  # noqa: E402
-                               rescaled_multiplier)
-from dynres.serialize import encode_json  # noqa: E402
+from dynres.cli import golden_recompute  # noqa: E402
+from dynres.serialize import decode_json  # noqa: E402
 
 GOLDEN = ROOT / "src" / "dynres" / "golden"
 
@@ -53,24 +53,27 @@ def gen_rescaled_tables() -> list[tuple]:
     out = []
     for label, kind, table in plans:
         for (d, m), row in sorted(table.items()):
+            meta = {"object": "rescaled-multiplier",
+                    "family": kind, "d": d, "m": m}
             t0 = time.perf_counter()
-            psi, _sign = rescaled_multiplier(Family(kind, d), m)
+            canonical = golden_recompute(meta)
             want = rt.expand_bivariate(row) ** row.get("cell_power", 1)
-            if psi != want:
+            if decode_json(canonical) != want:
                 raise SystemExit("%s (%d, %d): engine disagrees with the "
                                  "reference cell" % (label, d, m))
-            out.append(golden("%s-d%d-m%d.json" % (label, d, m),
-                              {"object": "rescaled-multiplier",
-                               "family": kind, "d": d, "m": m},
-                              encode_json(psi), time.perf_counter() - t0))
+            out.append(golden("%s-d%d-m%d.json" % (label, d, m), meta,
+                              canonical, time.perf_counter() - t0))
     return out
 
 
 def gen_cyclotomic_resultants() -> list[tuple]:
     out = []
     for (d, n, m), row in sorted(rt.TABLE4.items()):
+        meta = {"object": "cyclotomic-multiplier-resultant",
+                "family": "quadcrit", "d": d, "n": n, "m": m}
         t0 = time.perf_counter()
-        value = cyclotomic_resultant(Family("quadcrit", d), n, m)
+        canonical = golden_recompute(meta)
+        value = decode_json(canonical)
         want = rt.table4_engine_expected((d, n, m))
         if want is None:
             # The unprinted cell: gate on the published leading
@@ -81,10 +84,8 @@ def gen_cyclotomic_resultants() -> list[tuple]:
         elif value != want:
             raise SystemExit("table4 (%d, %d, %d): engine disagrees with "
                              "the reference cell" % (d, n, m))
-        out.append(golden("table4-d%d-n%d-m%d.json" % (d, n, m),
-                          {"object": "cyclotomic-multiplier-resultant",
-                           "family": "quadcrit", "d": d, "n": n, "m": m},
-                          encode_json(value), time.perf_counter() - t0))
+        out.append(golden("table4-d%d-n%d-m%d.json" % (d, n, m), meta,
+                          canonical, time.perf_counter() - t0))
     return out
 
 
@@ -105,12 +106,10 @@ def gen_polygons() -> list[tuple]:
                     if not verdict.passed:
                         raise SystemExit("polygon oracle failed: %s" %
                                          verdict.line())
-        data = newton.polygon_export(d, k_max, kind)
-        out.append(golden("polygon-%s-d%d.json" % (kind, d),
-                          {"object": "iterate-polygons", "family": kind,
-                           "d": d, "k_max": k_max},
-                          json.dumps(data, sort_keys=True) + "\n",
-                          time.perf_counter() - t0))
+        meta = {"object": "iterate-polygons", "family": kind,
+                "d": d, "k_max": k_max}
+        out.append(golden("polygon-%s-d%d.json" % (kind, d), meta,
+                          golden_recompute(meta), time.perf_counter() - t0))
     return out
 
 

@@ -12,10 +12,11 @@ Four subcommands:
   their periodic cycles.
 
 Exit status: 0 on success, 1 when a verify suite has a failing
-verdict, 2 on usage errors (argparse's, and any ValueError raised for
-a bad parameter, which prints one ``error:`` line), 3 when a ``table``
-computation hits the degree guardrail without ``--allow-large``.
-``parabolic`` stops below the guardrail with a note instead.
+verdict, 2 on usage errors (argparse's, any ValueError raised for a
+bad parameter, and an output path that cannot be written; each of the
+latter prints one ``error:`` line), 3 when a ``table`` period is above
+the degree guardrail without ``--allow-large``.  ``parabolic`` stops
+below the guardrail with a note instead.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from .errors import GuardrailExceeded
 from .families import (
     KINDS,
     Family,
+    check_degree,
     conjugacy_check,
     multiplier_poly,
     multiplier_via_product,
@@ -43,12 +45,18 @@ from .serialize import encode_csv, encode_json
 
 
 def _write_or_print(text: str, path: str | None) -> None:
+    """Write text to path, or to stdout when path is None; a path that
+    cannot be written is a bad parameter."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-        print("wrote %s" % path)
+    except OSError as exc:
+        raise ValueError("cannot write %s: %s"
+                         % (path, exc.strerror)) from None
+    print("wrote %s" % path)
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +65,13 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 def cmd_table(args: argparse.Namespace) -> int:
     fam = Family(args.family, args.d)
-    res = multiplier_poly(fam, args.m, allow_large=args.allow_large)
+    if not args.allow_large:
+        check_degree(fam, args.m)
+    res = multiplier_poly(fam, args.m)
     if args.resultant is not None:
-        obj = inv.cyclotomic_resultant(fam, args.resultant, args.m,
-                                       args.allow_large)
+        obj = inv.cyclotomic_resultant(fam, args.resultant, args.m)
     elif args.rescaled:
-        obj, sign = inv.rescaled_multiplier(fam, args.m, args.allow_large)
+        obj, sign = inv.rescaled_multiplier(fam, args.m)
         if res.scale != 1:
             print("# scaled by %d before rescaling" % res.scale,
                   file=sys.stderr)
@@ -227,7 +236,8 @@ def _suite_dual_route(quick: bool) -> list[Verdict]:
     return out
 
 
-def _golden_recompute(meta: dict):
+def golden_recompute(meta: dict) -> str:
+    """The canonical text of the golden that meta describes."""
     kind = meta["object"]
     if kind == "rescaled-multiplier":
         fam = Family(meta["family"], meta["d"])
@@ -251,7 +261,7 @@ def _suite_goldens(quick: bool) -> list[Verdict]:
         data = json.loads((root / name).read_text())
         if quick and data["meta"].get("slow"):
             continue
-        got = _golden_recompute(data["meta"])
+        got = golden_recompute(data["meta"])
         ok = got == data["canonical"]
         out.append(Verdict(check="golden-recompute",
                            params={"file": name},
@@ -290,9 +300,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rep = Report(command="verify",
                      parameters={"suite": args.suite, "quick": args.quick},
                      verdicts=verdicts, artifacts=[], wall_clock=clocks)
-        with open(args.report, "w") as fh:
-            fh.write(rep.to_json())
-        print("wrote %s" % args.report)
+        _write_or_print(rep.to_json(), args.report)
     return 1 if failed else 0
 
 
@@ -326,10 +334,8 @@ def cmd_parabolic(args: argparse.Namespace) -> int:
             print("  note: %s" % note)
     if args.report is not None:
         payload = [dataclasses.asdict(row) for row in rows]
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, default=str)
-            fh.write("\n")
-        print("wrote %s" % args.report)
+        _write_or_print(json.dumps(payload, indent=2, default=str) + "\n",
+                        args.report)
     return 0
 
 

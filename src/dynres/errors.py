@@ -30,9 +30,11 @@ class ZeroPolynomial(ArithmeticError):
 
 
 class GuardrailExceeded(RuntimeError):
-    """A requested computation is above the configured size guardrail.
+    """A requested period is above the size guardrail DEGREE_CAP.
 
-    Raised instead of silently grinding on inputs whose dynatomic degree
-    is larger than the default cap.  The caller can re-run with the cap
-    lifted explicitly.
+    Raised by families.check_degree, which `dynres table` calls before it
+    computes anything unless given --allow-large, instead of silently
+    grinding on an input whose dynatomic degree is above the cap.  The
+    library functions take no size flag and never raise it;
+    parabolic.classify stops below the cap with a note instead.
     """

@@ -9,9 +9,9 @@ quadcrit      z^(d+2) + c z^2    (d >= 1)
 
 The period-n dynatomic polynomial is the Moebius product over divisors
 of n of (f^k(z) - z), assembled here as one numerator product, one
-denominator product and a single exact division; dynatomic_poly caches
-it, and also builds the dynatomic polynomials of an iterate f^l from
-the cached iterates of f.  The multiplier polynomial delta_m, whose
+denominator product and a single exact division; dynatomic caches it,
+and also builds the dynatomic polynomials of an iterate f^l from the
+cached iterates of f.  The multiplier polynomial delta_m, whose
 m-th power is Res_z(Phi*_m, x - (f^m)'), is interpolated in c from
 integer nodes by resultants.charpoly_interp.  At each node its power
 sums are the traces of ((f^m)')^k modulo Phi*_m divided by m, for k up
@@ -22,8 +22,11 @@ with orbit_degc_bound nodes and are cached; their Moebius product and
 one exact m-th root give delta_m a second, independent time, in
 multiplier_via_product.
 
-Dynatomic degrees grow fast, so anything with degree above DEGREE_CAP
-is refused unless the caller passes allow_large=True.
+Dynatomic degrees grow fast.  The functions here compute whatever they
+are asked for; the size guardrail DEGREE_CAP is checked where outside
+input arrives instead: `dynres table` calls check_degree (unless given
+--allow-large), and parabolic.classify stops before the first period
+above the cap.
 """
 from __future__ import annotations
 
@@ -84,13 +87,6 @@ class Family:
 
 
 @dataclasses.dataclass
-class DynatomicResult:
-    n: int
-    degree: int
-    poly: BiPoly
-
-
-@dataclasses.dataclass
 class MultiplierResult:
     m: int
     delta: BiPoly
@@ -109,18 +105,18 @@ def iterate(fam: Family, k: int) -> BiPoly:
     return fam.map_poly.compose(iterate(fam, k - 1))
 
 
-def _guard(fam: Family, n: int, allow_large: bool) -> int:
+def check_degree(fam: Family, n: int) -> None:
+    """Refuse period n when its dynatomic degree is above DEGREE_CAP."""
     deg = dynatomic_degree(fam.map_degree, n)
-    if deg > DEGREE_CAP and not allow_large:
+    if deg > DEGREE_CAP:
         raise GuardrailExceeded(
             "period %d has dynatomic degree %d, above the cap %d"
             % (n, deg, DEGREE_CAP)
         )
-    return deg
 
 
 @functools.lru_cache(maxsize=None)
-def dynatomic_poly(fam: Family, n: int, step: int = 1) -> BiPoly:
+def dynatomic(fam: Family, n: int, step: int = 1) -> BiPoly:
     """Phi*_n of the map f^step: the Moebius product of
     f^(step k)(z) - z over k | n, as one exact division."""
     if n < 1:
@@ -134,18 +130,14 @@ def dynatomic_poly(fam: Family, n: int, step: int = 1) -> BiPoly:
             num = num * (iterate(fam, step * k) - z)
         elif mu == -1:
             den = den * (iterate(fam, step * k) - z)
-    return num.exact_div(den)
-
-
-def dynatomic(fam: Family, n: int, allow_large: bool = False) -> DynatomicResult:
-    deg = _guard(fam, n, allow_large)
-    poly = dynatomic_poly(fam, n)
+    poly = num.exact_div(den)
+    deg = dynatomic_degree(fam.map_degree ** step, n)
     if poly.degree != deg:
         raise AssertionError(
             "dynatomic degree %s disagrees with the divisor-sum formula %d"
             % (poly.degree, deg)
         )
-    return DynatomicResult(n=n, degree=deg, poly=poly)
+    return poly
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,38 +187,35 @@ def multiplier_degc_bound(fam: Family, m: int) -> int:
     O(|c|^v(t)) there, so deg_c delta_m is at most the sum of max(0, v)
     over the roots.
     """
-    return orbit_degc_bound(dynatomic_poly(fam, m),
+    return orbit_degc_bound(dynatomic(fam, m),
                             fam.map_poly.derivative(), m, m)
 
 
 @functools.lru_cache(maxsize=None)
 def _multiplier_cached(fam: Family, m: int) -> BiPoly:
-    phi = dynatomic_poly(fam, m)
+    phi = dynatomic(fam, m)
     omega = multiplier_derivative(fam, m)
     return charpoly_interp(phi, omega, degc_bound=multiplier_degc_bound(fam, m),
                            m=m)
 
 
-def multiplier_poly(fam: Family, m: int, allow_large: bool = False) -> MultiplierResult:
+def multiplier_poly(fam: Family, m: int) -> MultiplierResult:
     """delta_m: monic in x, the m-th root of Res_z(Phi*_m, x - (f^m)').
 
     Interpolated through multiplier_degc_bound + 1 nodes in c, plus one
     node that checks the bound; a mismatch raises BoundTooSmall.
     """
-    _guard(fam, m, allow_large)
     delta = _multiplier_cached(fam, m)
     return MultiplierResult(m=m, delta=delta, scale=multiplier_scale(fam, m))
 
 
-def multiplier_via_product(fam: Family, m: int,
-                           allow_large: bool = False) -> BiPoly:
+def multiplier_via_product(fam: Family, m: int) -> BiPoly:
     """Second route to delta_m: the m-th root of the Moebius product of
     Res_z(f^k - z, x - (f^m)') over k | m.
 
     Must agree with multiplier_poly; the test suite compares the two and
     never collapses them into one.
     """
-    _guard(fam, m, allow_large)
     num = BiPoly.const(1, "x")
     den = BiPoly.const(1, "x")
     for k in divisors(m):

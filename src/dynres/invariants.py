@@ -26,9 +26,9 @@ import functools
 import math
 
 from .errors import NotInSubring
-from .families import (Family, dynatomic, dynatomic_poly,
-                       fixed_point_resultant, iterate, multiplier_derivative,
-                       multiplier_poly, multiplier_scale)
+from .families import (Family, dynatomic, fixed_point_resultant, iterate,
+                       multiplier_derivative, multiplier_poly,
+                       multiplier_scale)
 from .numtheory import (common_prime_part, cyclotomic, divisors,
                         dynatomic_degree, euler_phi, factorize, mobius)
 from .polycore import BiPoly, IntPoly, eval_at_bipoly
@@ -100,37 +100,27 @@ def _constant_lead(P: BiPoly, degc: int, coef: int) -> str | None:
 # Delta invariants
 
 
-@dataclasses.dataclass
-class DeltaInvariant:
-    n: int
-    m: int
-    poly: IntPoly
-
-
-def cyclotomic_resultant(fam: Family, n: int, m: int,
-                         allow_large: bool = False) -> IntPoly:
+def cyclotomic_resultant(fam: Family, n: int, m: int) -> IntPoly:
     """Res_x(cyc_n, delta_m), a polynomial in c."""
-    delta = multiplier_poly(fam, m, allow_large).delta
+    delta = multiplier_poly(fam, m).delta
     return resultant(lift_to_x(cyclotomic(n), delta.cvar), delta)
 
 
-def delta_nm(fam: Family, n: int, m: int,
-             allow_large: bool = False) -> DeltaInvariant:
-    """Delta_{n,m}; the diagonal case divides delta_n(1) by the others."""
+def delta_nm(fam: Family, n: int, m: int) -> IntPoly:
+    """Delta_{n,m}, a polynomial in c; the diagonal case divides
+    delta_n(1) by the others."""
     if m < 1 or n < 1 or n % m:
         raise ValueError("need m | n")
     if m < n:
-        poly = cyclotomic_resultant(fam, n // m, m, allow_large)
-        return DeltaInvariant(n=n, m=m, poly=poly)
-    value = multiplier_poly(fam, n, allow_large).delta.eval_main_int(1)
+        return cyclotomic_resultant(fam, n // m, m)
+    value = multiplier_poly(fam, n).delta.eval_main_int(1)
     for k in divisors(n):
         if k != n:
-            value = value.exact_div(delta_nm(fam, n, k, allow_large).poly)
-    return DeltaInvariant(n=n, m=n, poly=value)
+            value = value.exact_div(delta_nm(fam, n, k))
+    return value
 
 
-def morton_vivaldi_check(fam: Family, n: int, m: int,
-                         allow_large: bool = False) -> Verdict:
+def morton_vivaldi_check(fam: Family, n: int, m: int) -> Verdict:
     """Res_z(Phi*_n, Phi*_m) against Delta_{n,m}^m, equality up to sign.
 
     The source asserts the identity only up to a unit, so the observed
@@ -138,10 +128,8 @@ def morton_vivaldi_check(fam: Family, n: int, m: int,
     """
     if not (m < n and n % m == 0):
         raise ValueError("need m | n and m < n")
-    phin = dynatomic(fam, n, allow_large).poly
-    phim = dynatomic(fam, m, allow_large).poly
-    lhs = resultant(phin, phim)
-    rhs = delta_nm(fam, n, m, allow_large).poly ** m
+    lhs = resultant(dynatomic(fam, n), dynatomic(fam, m))
+    rhs = delta_nm(fam, n, m) ** m
     if lhs == rhs:
         sign = 1
     elif lhs == -rhs:
@@ -157,8 +145,7 @@ def morton_vivaldi_check(fam: Family, n: int, m: int,
     )
 
 
-def degree_formula_check(fam: Family, n: int,
-                         allow_large: bool = False) -> list[Verdict]:
+def degree_formula_check(fam: Family, n: int) -> list[Verdict]:
     """c-degrees of Delta_{n,m} for the quadratic unicritical family.
 
     For m | n with m < n the degree is phi(n/m) d_m / 2; the diagonal
@@ -169,7 +156,7 @@ def degree_formula_check(fam: Family, n: int,
     out = []
     offsum = 0
     for m in divisors(n):
-        poly = delta_nm(fam, n, m, allow_large).poly
+        poly = delta_nm(fam, n, m)
         observed = poly.degree if not poly.is_zero else None
         if m < n:
             expected = euler_phi(n // m) * dynatomic_degree(2, m) // 2
@@ -261,19 +248,19 @@ def rescale_extract(obj, fam: Family, newvar: str = "C"):
     return psi, sign
 
 
-def rescaled_multiplier(fam: Family, m: int, allow_large: bool = False):
+def rescaled_multiplier(fam: Family, m: int):
     """The scaled delta_m in the family's rescaled variable, as the pair
     (psi, sign) of rescale_extract; raises NotInSubring off the subring."""
-    res = multiplier_poly(fam, m, allow_large)
+    res = multiplier_poly(fam, m)
     return rescale_extract(res.delta.scale_c(IntPoly.const(res.scale)), fam)
 
 
-def integrality_check(fam: Family, m: int, allow_large: bool = False) -> Verdict:
+def integrality_check(fam: Family, m: int) -> Verdict:
     """Scaled delta_m lies in the family's rescaled subring."""
     params = {"family": fam.label(), "m": m,
               "scale": multiplier_scale(fam, m)}
     try:
-        _psi, sign = rescaled_multiplier(fam, m, allow_large)
+        _psi, sign = rescaled_multiplier(fam, m)
     except NotInSubring as exc:
         return Verdict(check="delta-rescale-integrality", params=params,
                        passed=False, residual=str(exc))
@@ -281,14 +268,14 @@ def integrality_check(fam: Family, m: int, allow_large: bool = False) -> Verdict
                    passed=True, witness={"sign": sign})
 
 
-def monicness_check(fam: Family, m: int, allow_large: bool = False) -> Verdict:
+def monicness_check(fam: Family, m: int) -> Verdict:
     """Monicness of scaled delta_m in the rescaled variable.
 
     For z^d + c the sign is pinned: (-1) ** (d_m/m + d_m (d-1)).  For
     the degree-(d+1) families only monic-up-to-unit is claimed, so the
     check asserts |sign| = 1 and records which sign occurred.
     """
-    _psi, sign = rescaled_multiplier(fam, m, allow_large)
+    _psi, sign = rescaled_multiplier(fam, m)
     params = {"family": fam.label(), "m": m}
     if fam.kind == "unicritical":
         dm = dynatomic_degree(fam.d, m)
@@ -329,8 +316,7 @@ def predicted_psi_sign(d: int, n: int, m: int) -> int:
     return -1 if exp % 2 else 1
 
 
-def psi_monicness_check(fam: Family, n: int, m: int,
-                        allow_large: bool = False) -> Verdict:
+def psi_monicness_check(fam: Family, n: int, m: int) -> Verdict:
     """Integrality and monicness of the rescaled Delta_{n,m} for z^d + c.
 
     Asserts membership in Z[d^d c^(d-1)], monicness up to sign, and the
@@ -342,7 +328,7 @@ def psi_monicness_check(fam: Family, n: int, m: int,
     if not (m <= n and n % m == 0):
         raise ValueError("need m | n")
     params = {"family": fam.label(), "n": n, "m": m}
-    poly = delta_nm(fam, n, m, allow_large).poly
+    poly = delta_nm(fam, n, m)
     try:
         psi, sign = rescale_extract(poly, fam)
     except NotInSubring as exc:
@@ -396,15 +382,14 @@ def unicritical_res_lt_check(fam: Family, k: int, m: int) -> Verdict:
                    passed=residual is None, residual=residual)
 
 
-def unicritical_delta_lt_check(fam: Family, m: int,
-                               allow_large: bool = False) -> Verdict:
+def unicritical_delta_lt_check(fam: Family, m: int) -> Verdict:
     """Leading c-term of delta_m for z^d + c: sits in the x-constant
     coefficient and equals (-1)^(d_m/m + d_m(d-1)) (d^d c^(d-1))^(d_m/d)."""
     if fam.kind != "unicritical":
         raise ValueError("stated for the unicritical family")
     d = fam.d
     dm = dynatomic_degree(d, m)
-    delta = multiplier_poly(fam, m, allow_large).delta
+    delta = multiplier_poly(fam, m).delta
     degc = (d - 1) * dm // d
     coef = d ** dm
     if (dm // m + dm * (d - 1)) % 2:
@@ -561,16 +546,14 @@ def shifted_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
     return out
 
 
-def delta_aux_product_check(kind: str, d: int, m: int,
-                            allow_large: bool = False) -> Verdict:
+def delta_aux_product_check(kind: str, d: int, m: int) -> Verdict:
     """delta_m^m against the fixed-point factor times the R-product.
 
     linearterm:  delta^m = (x - c^m)^eps * (prod R_{k,m}^mu)^d
     shifted:     delta^m = (x - c^(md))^eps * prod Rtilde_{k,m}^mu
     """
     fam = Family(kind, d)
-    delta = multiplier_poly(fam, m, allow_large).delta
-    lhs = delta ** m
+    lhs = multiplier_poly(fam, m).delta ** m
     num = BiPoly.const(1, "x")
     den = BiPoly.const(1, "x")
     for k in divisors(m):
@@ -713,7 +696,7 @@ def quadcrit_lt_check(d: int, n: int) -> Verdict:
     if n <= 1:
         raise ValueError("stated for n > 1")
     fam = Family("quadcrit", d)
-    poly = delta_nm(fam, n, 1).poly
+    poly = delta_nm(fam, n, 1)
     phi = euler_phi(n)
     cyc2 = cyclotomic(n)(2)
     deg, lc = _lt(poly)
@@ -763,7 +746,7 @@ def dynatomic_equality_check(fam: Family, k: int, m: int) -> Verdict:
         raise ValueError("need k | m")
     mtil = common_prime_part(m, k)
     mp = m // mtil
-    phik = dynatomic(fam, k).poly
+    phik = dynatomic(fam, k)
     params = {"family": fam.label(), "k": k, "m": m,
               "k_part": mtil, "coprime_part": mp}
 
@@ -772,8 +755,8 @@ def dynatomic_equality_check(fam: Family, k: int, m: int) -> Verdict:
 
     lhs = BiPoly.const(1, "z")
     for e in divisors(mtil):
-        lhs = red(lhs * dynatomic(fam, e * mp, allow_large=True).poly)
-    mid = red(dynatomic_poly(fam, mp, mtil))
+        lhs = red(lhs * dynatomic(fam, e * mp))
+    mid = red(dynatomic(fam, mp, mtil))
     first_ok = lhs == mid
 
     lam = red(multiplier_derivative(fam, k))
@@ -801,7 +784,7 @@ def coprime_product_check(fam: Family, l: int, n: int) -> Verdict:
         raise ValueError("need coprime l and n")
     lhs = BiPoly.const(1, "z")
     for e in divisors(l):
-        lhs = lhs * dynatomic(fam, e * n, allow_large=True).poly
+        lhs = lhs * dynatomic(fam, e * n)
     return Verdict.identity("coprime-dynatomic-product",
                             {"family": fam.label(), "l": l, "n": n},
-                            lhs, dynatomic_poly(fam, n, l))
+                            lhs, dynatomic(fam, n, l))

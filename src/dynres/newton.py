@@ -36,11 +36,9 @@ def iterate_polygon_check(d: int, k: int) -> Verdict:
                    residual=None if ok else "vertices %s" % (np_.vertices,))
 
 
-def delta_polygon_check(d: int, m: int, allow_large: bool = False) -> Verdict:
+def delta_polygon_check(d: int, m: int) -> Verdict:
     """delta_m for z^d + c: one segment of slope m (d-1) / d."""
-    fam = Family("unicritical", d)
-    delta = multiplier_poly(fam, m, allow_large).delta
-    np_ = NewtonPolygon.of(delta)
+    np_ = NewtonPolygon.of(multiplier_poly(Family("unicritical", d), m).delta)
     dm = dynatomic_degree(d, m)
     want = ((0, -(d - 1) * dm // d), (dm // m, 0))
     ok = np_.zero_order == 0 and np_.vertices == want
@@ -108,6 +106,8 @@ def linear_resultant_polygon_check(d: int, k: int) -> list[Verdict]:
 
 def polygon_export(d: int, kmax: int, kind: str = "unicritical") -> dict:
     """Vertex data of the iterate polygons, for the delimited reports."""
+    if kmax < 1:
+        raise ValueError("need k_max >= 1")
     fam = Family(kind, d)
     z = BiPoly.gen("z")
     out = {}

@@ -26,9 +26,8 @@ import dataclasses
 from fractions import Fraction
 from math import gcd
 
-from .errors import GuardrailExceeded
-from .families import Family, multiplier_poly
-from .numtheory import cyclotomic
+from .families import DEGREE_CAP, Family, multiplier_poly
+from .numtheory import cyclotomic, dynatomic_degree
 from .polycore import IntPoly, _horner
 
 
@@ -225,10 +224,10 @@ class Classification:
         return "%s: %s%s" % (self.c, self.status, extra)
 
 
-def _specialized_delta(fam: Family, m: int, c: Fraction,
-                       allow_large: bool) -> tuple[list[Fraction], IntPoly]:
+def _specialized_delta(fam: Family, m: int,
+                       c: Fraction) -> tuple[list[Fraction], IntPoly]:
     """delta_m at c as exact fractions, plus a cleared integer copy."""
-    coeffs = list(multiplier_poly(fam, m, allow_large).delta.specialize_c(c))
+    coeffs = list(multiplier_poly(fam, m).delta.specialize_c(c))
     coeffs = [Fraction(a) for a in coeffs]
     den = 1
     for a in coeffs:
@@ -244,16 +243,17 @@ def chebyshev_note(c: Fraction) -> str | None:
     return None
 
 
-def classify(fam: Family, c: Fraction, m_max: int = 6, j_max: int = 12,
-             allow_large: bool = False) -> Classification:
+def classify(fam: Family, c: Fraction, m_max: int = 6,
+             j_max: int = 12) -> Classification:
     """Decide the cycle type of a rational parameter.
 
     Tests periods m <= m_max and root-of-unity orders j <= j_max; a
     clean miss is reported as repelling-all-tested when a preperiodic
-    critical orbit certifies it, and unresolved otherwise.  Testing
-    stops below the first period whose delta_m is above the degree
-    guardrail; a note says so, and the witness's m_max is the last
-    period tested.
+    critical orbit certifies it, and unresolved otherwise.  This is
+    where the degree guardrail applies to classification: before each
+    period, the dynatomic degree is compared with DEGREE_CAP, and
+    testing stops below the first period above it; a note says so, and
+    the witness's m_max is the last period tested.
     """
     if fam.kind != "unicritical":
         raise ValueError("classification is implemented for z^d + c")
@@ -281,13 +281,12 @@ def classify(fam: Family, c: Fraction, m_max: int = 6, j_max: int = 12,
 
     m_tested = m_max
     for m in range(1, m_max + 1):
-        try:
-            fractions, cleared = _specialized_delta(fam, m, c, allow_large)
-        except GuardrailExceeded:
+        if dynatomic_degree(fam.d, m) > DEGREE_CAP:
             m_tested = m - 1
             notes.append("periods above m=%d not tested (degree guardrail)"
                          % m_tested)
             break
+        fractions, cleared = _specialized_delta(fam, m, c)
         if fractions and fractions[0] == 0:
             return Classification(c=c, status="superattracting", period=m,
                                   witness={"delta_at_0": "0"}, notes=notes)

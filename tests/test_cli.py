@@ -152,6 +152,7 @@ def test_parabolic_linearterm_needs_c(capsys):
     ["parabolic", "--c", "1/4", "--j-max", "0"],
     ["parabolic", "--m-max", "0"],
     ["polygon", "--d", "0"],
+    ["polygon", "--d", "2", "--k-max", "0"],
 ])
 def test_bad_parameter_is_usage_error(argv, capsys):
     # exit 1 means a failed verify check; a bad parameter is exit 2 with
@@ -160,6 +161,28 @@ def test_bad_parameter_is_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unwritable_report_is_usage_error(tmp_path, capsys):
+    # every check passes; exit 1 would claim a failed check
+    path = str(tmp_path / "missing" / "r.json")
+    rc = main(["verify", "--suite", "degrees", "--quick", "--report", path])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert ", 0 failed" in captured.out
+    assert captured.err.startswith("error: cannot write %s" % path)
+    assert captured.err.count("\n") == 1
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    stem = str(tmp_path / "missing" / "delta")
+    rc = main(["table", "--family", "unicritical", "--d", "2",
+               "--out", stem])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write %s.json" % stem)
     assert captured.err.count("\n") == 1
 
 

@@ -1,12 +1,17 @@
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import dynres
 from dynres.errors import BoundTooSmall, GuardrailExceeded
 from dynres.families import (
     DEGREE_CAP,
     Family,
+    check_degree,
     conjugacy_check,
     dynatomic,
-    dynatomic_poly,
     fixed_point_resultant,
     iterate,
     multiplier_degc_bound,
@@ -55,13 +60,12 @@ def test_iterate():
 
 def test_dynatomic_small():
     fam = Family("unicritical", 2)
-    assert dynatomic(fam, 1).poly == Z * Z - Z + C
-    assert dynatomic(fam, 2).poly == Z * Z + Z + C + 1
+    assert dynatomic(fam, 1) == Z * Z - Z + C
+    assert dynatomic(fam, 2) == Z * Z + Z + C + 1
     for n in range(1, 7):
-        res = dynatomic(fam, n)
-        assert res.degree == dynatomic_degree(2, n)
-        assert res.poly.degree == res.degree
-        assert res.poly.is_monic
+        phi = dynatomic(fam, n)
+        assert phi.degree == dynatomic_degree(2, n)
+        assert phi.is_monic
 
 
 def test_dynatomic_product_identity():
@@ -73,19 +77,19 @@ def test_dynatomic_product_identity():
         for n in ns:
             prod = BiPoly.const(1, "z")
             for k in divisors(n):
-                prod = prod * dynatomic(fam, k, allow_large=True).poly
+                prod = prod * dynatomic(fam, k)
             assert prod == iterate(fam, n) - Z
 
 
 def test_dynatomic_poly_of_iterate():
     # Phi*_n of f^step is built from the iterates f^(step k)
     fam = Family("unicritical", 2)
-    assert dynatomic_poly(fam, 3) is dynatomic(fam, 3).poly
-    assert dynatomic_poly(fam, 1, 2) == iterate(fam, 2) - Z
+    assert dynatomic(fam, 3) is dynatomic(fam, 3)
+    assert dynatomic(fam, 1, 2) == iterate(fam, 2) - Z
     # f^2 - z over f - z: the period-2 points of f
-    assert dynatomic_poly(fam, 2, 1) == dynatomic(fam, 2).poly
+    assert dynatomic(fam, 2, 1) == dynatomic(fam, 2)
     # period 2 of f^2 is period 4 of f, by the Moebius product
-    assert (dynatomic_poly(fam, 2, 2)
+    assert (dynatomic(fam, 2, 2)
             == (iterate(fam, 4) - Z).exact_div(iterate(fam, 2) - Z))
 
 
@@ -93,8 +97,31 @@ def test_guardrail():
     fam = Family("unicritical", 2)
     assert dynatomic_degree(2, 7) > DEGREE_CAP
     with pytest.raises(GuardrailExceeded):
-        dynatomic(fam, 7)
-    assert dynatomic(fam, 7, allow_large=True).degree == 126
+        check_degree(fam, 7)
+    check_degree(fam, 6)
+    # the library itself computes above the cap when asked
+    assert dynatomic(fam, 7).degree == 126
+
+
+def test_no_size_flag_in_library():
+    # the guardrail is checked where outside input arrives, by the
+    # command line and classify, so no library callable takes a flag
+    found = []
+    for info in pkgutil.iter_modules(dynres.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module("dynres." + info.name)
+        objs = list(vars(mod).values())
+        objs += [member for obj in objs if isinstance(obj, type)
+                 for member in vars(obj).values()]
+        for obj in objs:
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):
+                continue
+            if "allow_large" in params:
+                found.append((info.name, obj))
+    assert not found
 
 
 def test_multiplier_poly_quadratic():
@@ -182,7 +209,7 @@ def test_orbit_bound_structure_pairs():
 def test_multiplier_bound_one_short_raises():
     fam = Family("unicritical", 2)
     m = 4
-    phi = dynatomic(fam, m).poly
+    phi = dynatomic(fam, m)
     omega = multiplier_derivative(fam, m)
     bound = multiplier_degc_bound(fam, m)
     delta = charpoly_interp(phi, omega, degc_bound=bound, m=m)
