@@ -18,9 +18,13 @@ sums are the traces of ((f^m)')^k modulo Phi*_m divided by m, for k up
 to its x-degree, and Newton's identities turn them into delta_m; the
 number of nodes comes from the proven bound multiplier_degc_bound.  The
 fixed-point resultants Res_z(f^k - z, x - (f^m)') take the same route
-with orbit_degc_bound nodes and are cached; their Moebius product and
-one exact m-th root give delta_m a second, independent time, in
-multiplier_via_product.
+with orbit_degc_bound and are cached; their Moebius product and one
+exact m-th root give delta_m a second, independent time, in
+multiplier_via_product.  Conjugation by z -> zeta z sends c to a
+multiple of c and keeps every multiplier (c_stride), so the fixed-point
+resultants lie in Z[x][c^s] and are interpolated in C = c^s from about
+1/s of the nodes; delta_m lies there too, but is still interpolated
+in c.
 
 Dynatomic degrees grow fast.  The functions here compute whatever they
 are asked for; the size guardrail DEGREE_CAP is checked where outside
@@ -152,6 +156,26 @@ def multiplier_derivative(fam: Family, m: int) -> BiPoly:
     return out
 
 
+def c_stride(fam: Family) -> int:
+    """The stride s that conjugation proves: the multipliers of f_c, as
+    a multiset at each period, depend on c^s only.
+
+    For zeta^s = 1 and phi(z) = zeta z, phi^-1 o f_c o phi = f_c' with
+      unicritical  s = d - 1,  c' = c / zeta;
+      shifted      s = d,      c' = c / zeta;
+      quadcrit     s = d + 1,  c' = zeta c;
+    linearterm z^(d+1) + cz keeps its c under every such conjugation,
+    so s = 1.  phi^-1 carries the period-k points of f_c to those of
+    f_c', and by the chain rule (f_c'^m)'(w) = (f_c^m)'(zeta w), so a
+    polynomial in c built symmetrically from these multipliers takes
+    the same value at c and at zeta c for every s-th root of unity zeta;
+    it lies in Z[c^s].
+    """
+    d = fam.d
+    return {"unicritical": d - 1, "shifted": d, "quadcrit": d + 1,
+            "linearterm": 1}[fam.kind]
+
+
 @functools.lru_cache(maxsize=None)
 def fixed_point_resultant(fam: Family, k: int, m: int) -> BiPoly:
     """Res_z(f^k - z, x - (f^m)'), the m-th iterate's multipliers at the
@@ -159,10 +183,15 @@ def fixed_point_resultant(fam: Family, k: int, m: int) -> BiPoly:
 
     f permutes the roots of f^k - z and (f^m)' is f' along m steps of
     that orbit, so the nodes come from orbit_degc_bound(f^k - z, f', m).
+    f^k - z is monic in z, so the resultant is the product of x - (f^m)'
+    over the points of period dividing k, symmetric in their
+    multipliers under f^m; by c_stride it lies in Z[x][c^s] with
+    s = c_stride(fam), and it is interpolated in c^s.
     """
     fk = iterate(fam, k) - BiPoly.gen("z")
     bound = orbit_degc_bound(fk, fam.map_poly.derivative(), m)
-    return charpoly_interp(fk, multiplier_derivative(fam, m), degc_bound=bound)
+    return charpoly_interp(fk, multiplier_derivative(fam, m), degc_bound=bound,
+                           stride=c_stride(fam))
 
 
 def multiplier_scale(fam: Family, m: int) -> int:

@@ -33,7 +33,8 @@ from .numtheory import (common_prime_part, cyclotomic, divisors,
                         dynatomic_degree, euler_phi, factorize, mobius)
 from .polycore import BiPoly, IntPoly, eval_at_bipoly
 from .report import Verdict
-from .resultants import charpoly_interp, orbit_degc_bound, resultant
+from .resultants import (charpoly_int, charpoly_interp, orbit_degc_bound,
+                         resultant)
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +451,17 @@ def _cleared_product(d: int, m: int) -> BiPoly:
 
 @functools.lru_cache(maxsize=None)
 def aux_nonunicritical(d: int, k: int, m: int) -> AuxPolys:
+    """R_{k,m} = Res_z(F_k, x - cleared_m), interpolated in c^g with
+    g = gcd(d, k).
+
+    For zeta^d = 1, ftil(zeta z) at zeta c is zeta ftil(z) at c, so
+    F_k + 1 picks up zeta^k and cleared_m picks up zeta^m.  When also
+    zeta^k = 1 (and then zeta^m = 1, as k | m), both are invariant under
+    (z, c) -> (zeta z, zeta c): the roots of the monic F_k at zeta c are
+    zeta times those at c, with the same values of cleared_m, so
+    R(zeta c) = R(c) for every g-th root of unity zeta and R lies in
+    Z[x][c^g].
+    """
     # The integrality and leading-term claims about R are stated for
     # k | m only; for other pairs the resultant exists but nothing is
     # asserted about it, so refuse early instead of failing late.
@@ -458,12 +470,23 @@ def aux_nonunicritical(d: int, k: int, m: int) -> AuxPolys:
     F_k = _orbit_product(d, k) - 1
     cleared = _cleared_product(d, m)
     bound = orbit_degc_bound(F_k, _linear_factor(d), m)
-    R = charpoly_interp(F_k, cleared, degc_bound=bound)
+    R = charpoly_interp(F_k, cleared, degc_bound=bound,
+                        stride=math.gcd(d, k))
     return AuxPolys(d=d, k=k, m=m, F_k=F_k, cleared=cleared, R=R)
 
 
 @functools.lru_cache(maxsize=None)
 def aux_shifted(d: int, k: int, m: int) -> AuxShifted:
+    """Rtilde_{k,m} = Res_z(H_k, x - G), interpolated in c^d.
+
+    For zeta^d = 1, ftil(zeta z) at zeta c is zeta ftil(z) at c, so
+    F_k + 1 picks up zeta^k, H_k = (F_k + 1)^d - 1 picks up zeta^(kd) = 1,
+    and G = (F_m + 1)^(d-1) cleared_m picks up zeta^(m(d-1) + m) = 1.
+    Both are invariant under (z, c) -> (zeta z, zeta c): the roots of
+    the monic H_k at zeta c are zeta times those at c, with the same
+    values of G, so Rtilde(zeta c) = Rtilde(c) for every d-th root of
+    unity zeta and Rtilde lies in Z[x][c^d].
+    """
     if m % k:
         raise ValueError("need k | m")
     F_k = _orbit_product(d, k) - 1
@@ -471,7 +494,7 @@ def aux_shifted(d: int, k: int, m: int) -> AuxShifted:
     G = (_orbit_product(d, m)) ** (d - 1) * _cleared_product(d, m)
     ftil = Family("shifted", d).map_poly
     bound = orbit_degc_bound(H_k, ftil.derivative(), m)
-    R = charpoly_interp(H_k, G, degc_bound=bound)
+    R = charpoly_interp(H_k, G, degc_bound=bound, stride=d)
     return AuxShifted(d=d, k=k, m=m, H_k=H_k, G=G, R=R)
 
 
@@ -511,11 +534,12 @@ def shifted_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
     z = BiPoly.gen("z")
     c = BiPoly.cgen("z")
     aux = aux_shifted(d, k, m)
+    fk = iterate(fam, k) - z
     out = []
 
     out.append(Verdict.identity("orbit-product-identity",
                                 {"family": fam.label(), "k": k},
-                                iterate(fam, k) - z, (z - c) * aux.H_k))
+                                fk, (z - c) * aux.H_k))
     deriv = multiplier_derivative(fam, m)
     out.append(Verdict.identity("derivative-product-identity",
                                 {"family": fam.label(), "m": m},
@@ -535,14 +559,26 @@ def shifted_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
                                 IntPoly([0] * (m * d) + [1], "c")))
 
     # Conjugating z by a d-th root of unity fixes the resultant, so its
-    # x-coefficients only involve powers c^(d j).
+    # x-coefficients only involve powers c^(d j).  The resultant is
+    # interpolated in c^d, which makes the support hold by construction;
+    # the values at c = -1 and -2, nodes that interpolation never
+    # evaluates, test the symmetry it rests on.
     bad = [i for i, a in enumerate(res.coeffs)
            if any(v and e % d for e, v in enumerate(a.coeffs))]
+    off_node = [c0 for c0 in (-1, -2)
+                if res.specialize_c_int(c0) != charpoly_int(
+                    fk.specialize_c_int(c0).coeffs,
+                    deriv.specialize_c_int(c0).coeffs)]
+    problems = []
+    if bad:
+        problems.append("x-coefficients %s" % bad)
+    if off_node:
+        problems.append("differs from the charpoly at c = %s" % off_node)
     out.append(Verdict(
         check="resultant-parameter-power-support",
         params={"family": fam.label(), "k": k, "m": m, "modulus": d},
-        passed=not bad,
-        residual=None if not bad else "x-coefficients %s" % bad))
+        passed=not problems,
+        residual="; ".join(problems) or None))
     return out
 
 

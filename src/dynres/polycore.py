@@ -459,67 +459,54 @@ def nth_root(p: BiPoly, n: int) -> BiPoly:
     return root
 
 
-def _master_poly(n: int) -> list[int]:
-    """Coefficients of (c-0)(c-1)...(c-n)."""
-    w = [1]
-    for j in range(n + 1):
-        nxt = [0] * (len(w) + 1)
-        for i, a in enumerate(w):
-            nxt[i + 1] += a
-            nxt[i] -= a * j
-        w = nxt
-    return w
+def _newton_interpolate(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+    """Ascending coefficients of the integer polynomial through the
+    points (xs[i], ys[i]), by Newton's divided differences.
 
-
-def _master_quotients(n: int, w: list[int]) -> list[list[int]]:
-    """Synthetic division of the master polynomial by (c - i) for each node."""
-    out = []
-    for i in range(n + 1):
-        q = [0] * (len(w) - 1)
-        carry = 0
-        for j in range(len(w) - 1, 0, -1):
-            carry = w[j] + carry * i
-            q[j - 1] = carry
-        out.append(q)
-    return out
+    The divided differences of a polynomial with integer coefficients at
+    distinct integer points are integers, so every division is exact;
+    one that is not raises DivisionNotExact.
+    """
+    n = len(xs) - 1
+    a = list(ys)
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            q, r = divmod(a[i] - a[i - 1], xs[i] - xs[i - k])
+            if r:
+                raise DivisionNotExact(
+                    "interpolation values are not polynomial of this degree")
+            a[i] = q
+    # Newton form to monomial form, innermost factor first.
+    p = [a[n]]
+    for k in range(n - 1, -1, -1):
+        p.append(0)
+        for i in range(len(p) - 1, 0, -1):
+            p[i] = p[i - 1] - xs[k] * p[i]
+        p[0] = a[k] - xs[k] * p[0]
+    return p
 
 
 def interpolate_intpolys(values: Sequence[IntPoly], main_var: str = "x",
-                         cvar: str = "c") -> BiPoly:
-    """BiPoly through (i, values[i]) for consecutive integer nodes in c.
+                         cvar: str = "c", stride: int = 1) -> BiPoly:
+    """BiPoly through (i, values[i]) for the nodes c = 0, 1, ..., n,
+    whose c-exponents are all multiples of stride.
 
-    Each main-variable coefficient is interpolated with the same shared
-    node polynomials, so the cost of the node setup is paid once.
+    Each main-variable coefficient is interpolated as a polynomial in
+    C = c^stride at the distinct points i^stride, then written back in c.
     """
     n = len(values) - 1
     if n < 0:
         raise ValueError("need at least one value")
-    w = _master_poly(n)
-    quotients = _master_quotients(n, w)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    binom = _binomial_row(n)
+    if stride < 1:
+        raise ValueError("stride must be positive")
+    xs = [i ** stride for i in range(n + 1)]
     width = max((len(v.coeffs) for v in values), default=0)
     out_coeffs = []
     for xi in range(width):
-        acc = [0] * (n + 1)
-        for i in range(n + 1):
-            y = values[i].coeff(xi)
-            if y == 0:
-                continue
-            scale = y * binom[i] * (1 if (n - i) % 2 == 0 else -1)
-            qi = quotients[i]
-            for j, b in enumerate(qi):
-                acc[j] += scale * b
-        cs = []
-        for a in acc:
-            q, r = divmod(a, fact)
-            if r:
-                raise DivisionNotExact(
-                    "interpolation values are not polynomial of this degree")
-            cs.append(q)
-        out_coeffs.append(IntPoly(cs, cvar))
+        cs = _newton_interpolate(xs, [v.coeff(xi) for v in values])
+        spread = [0] * (stride * (len(cs) - 1) + 1)
+        spread[::stride] = cs
+        out_coeffs.append(IntPoly(spread, cvar))
     return BiPoly(out_coeffs, main_var, cvar)
 
 

@@ -2,11 +2,14 @@
 each with an independent oracle.
 
 Res(F, x - G) for monic F, the shape of every multiplier resultant, is
-``charpoly_interp``: specialize c at consecutive integers from 0, take
+``charpoly_interp``: specialize c at the integers 0, 1, 2, ..., take
 the characteristic polynomial of multiplication by G on the quotient
-ring modulo F at each node, and reassemble by exact Lagrange
-interpolation.  Per node, ``charpoly_int`` forms exact power sums of the
-roots of F, the traces of G^k modulo F, and Newton's identities; no
+ring modulo F at each node, and reassemble by exact Newton
+interpolation.  When the caller proves that the result lies in
+Z[x][c^s], by a symmetry c -> zeta c with zeta^s = 1, the interpolation
+runs in C = c^s at the points 0, 1, 2^s, ..., and about 1/s as many
+nodes are needed.  Per node, ``charpoly_int`` forms exact power sums of
+the roots of F, the traces of G^k modulo F, and Newton's identities; no
 fractions appear, and every division is by a small integer and checked.
 When the resultant is known to be an m-th power, as
 Res_z(Phi*_m, x - (f^m)') = delta_m^m is, the root index m returns the
@@ -264,31 +267,37 @@ def orbit_degc_bound(F: BiPoly, h: BiPoly, steps: int,
 
 
 def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None,
-                    m: int = 1) -> BiPoly:
+                    m: int = 1, stride: int = 1) -> BiPoly:
     """Res(F, x - G) for monic F via per-node integer charpolys.
 
     With m > 1 the result is instead the monic m-th root of that
     resultant, node by node through ``charpoly_int(fc, gc, m)``.  The
-    nodes come from degc_bound, or from the Sylvester cap when it is
-    None; one extra node checks the bound and a mismatch raises
-    BoundTooSmall.
+    c-degree bound is degc_bound, or the Sylvester cap when it is None.
+    The caller may assert that every c-exponent of the result is a
+    multiple of stride, as a symmetry c -> zeta c with zeta^stride = 1
+    proves; the result is then interpolated in C = c^stride from the
+    nodes c = 0, 1, ..., bound // stride.  One extra node checks the
+    bound and the stride, and a mismatch raises BoundTooSmall.
     """
     if not F.is_monic:
         raise ValueError("interpolation charpoly needs F monic")
+    if stride < 1:
+        raise ValueError("stride must be positive")
     n = F.degree
     bound = degc_cap(F, G) if degc_bound is None else degc_bound
+    top = bound // stride + 1
 
     def value_at(c0: int) -> IntPoly:
         fc = [F.coeff(i)(c0) for i in range(n + 1)]
         gc = [G.coeff(i)(c0) for i in range(len(G.coeffs))]
         return charpoly_int(fc, gc, m)
 
-    values = [value_at(c0) for c0 in range(bound + 2)]
+    values = [value_at(c0) for c0 in range(top + 1)]
     try:
-        result = interpolate_intpolys(values[:-1], "x", F.cvar)
+        result = interpolate_intpolys(values[:-1], "x", F.cvar, stride)
     except DivisionNotExact as exc:
         raise BoundTooSmall("degree bound %d failed verification" % bound) from exc
-    if result.specialize_c_int(bound + 1) != values[-1]:
+    if result.specialize_c_int(top) != values[-1]:
         raise BoundTooSmall("degree bound %d failed verification" % bound)
     return result
 

@@ -1,9 +1,12 @@
 import dataclasses
+import math
 
 import pytest
 
+from dynres import invariants
 from dynres.errors import NotInSubring
-from dynres.families import Family, fixed_point_resultant, multiplier_poly
+from dynres.families import (Family, c_stride, fixed_point_resultant,
+                             iterate, multiplier_derivative, multiplier_poly)
 from dynres.invariants import (
     aux_integrality_check,
     aux_leading_term_check,
@@ -32,7 +35,8 @@ from dynres.invariants import (
     unicritical_res_lt_check,
 )
 from dynres.numtheory import divisors
-from dynres.polycore import IntPoly
+from dynres.polycore import BiPoly, IntPoly
+from dynres.resultants import charpoly_interp, charpoly_sylvester
 
 FAM2 = Family("unicritical", 2)
 
@@ -184,6 +188,21 @@ def test_structure_checks():
                 assert v.passed, v.line()
 
 
+def test_power_support_checks_off_node_values(monkeypatch):
+    # A resultant with the right support in c^d but wrong values is
+    # caught at the nodes c = -1, -2, which strided interpolation never
+    # evaluates.
+    d = 2
+    right = fixed_point_resultant(Family("shifted", d), 1, 1)
+    wrong = right + BiPoly.cgen("x") ** (2 * d) * BiPoly.gen("x")
+    monkeypatch.setattr(invariants, "fixed_point_resultant",
+                        lambda fam, k, m: wrong)
+    verdict = [v for v in shifted_structure_checks(d, 1, 1)
+               if v.check == "resultant-parameter-power-support"][0]
+    assert not verdict.passed
+    assert verdict.residual == "differs from the charpoly at c = [-1, -2]"
+
+
 def test_delta_aux_product():
     for kind in ("linearterm", "shifted"):
         for d, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
@@ -256,3 +275,40 @@ def test_coprime_product():
         assert coprime_product_check(FAM2, l, n).passed
     with pytest.raises(ValueError):
         coprime_product_check(FAM2, 2, 4)
+
+
+def _exponent_gcd(P):
+    """gcd of the c-exponents of P's nonzero terms (0 when P is constant
+    in c)."""
+    return math.gcd(*(e for a in P.coeffs for e, v in enumerate(a.coeffs) if v))
+
+
+# (result at its stride, F, G, stride) for each interpolation that runs
+# in c^s; the stride-1 reference uses the Sylvester cap for its nodes.
+def _strided_cases(kind, d):
+    fam = Family(kind, d)
+    z = BiPoly.gen("z")
+    for k, m in ((1, 1), (1, 2), (2, 2)):
+        yield (fixed_point_resultant(fam, k, m), iterate(fam, k) - z,
+               multiplier_derivative(fam, m), c_stride(fam))
+        if kind == "shifted":
+            aux = aux_shifted(d, k, m)
+            yield aux.R, aux.H_k, aux.G, d
+        if kind == "linearterm":
+            aux = aux_nonunicritical(d, k, m)
+            yield aux.R, aux.F_k, aux.cleared, math.gcd(d, k)
+
+
+@pytest.mark.parametrize("kind,d", [
+    ("unicritical", 2), ("unicritical", 3), ("unicritical", 4),
+    ("shifted", 1), ("shifted", 2), ("shifted", 3),
+    ("quadcrit", 1), ("quadcrit", 2),
+    ("linearterm", 2), ("linearterm", 4),
+])
+def test_strided_resultants(kind, d):
+    for R, F, G, stride in _strided_cases(kind, d):
+        plain = charpoly_interp(F, G)
+        assert R == plain
+        assert _exponent_gcd(plain) % stride == 0
+        if F.degree + G.degree <= 12:
+            assert R == charpoly_sylvester(F, G)

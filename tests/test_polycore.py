@@ -151,3 +151,23 @@ def test_interpolate_intpolys():
     f = z * z * 3 + (c * c - 1) * z + 5 * c
     vals = [f.specialize_c_int(t) for t in range(f.deg_c + 1)]
     assert interpolate_intpolys(vals, "z", "c") == f
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+def test_interpolate_intpolys_stride(stride):
+    # f in Z[x][c^s]: the nodes c = 0..n are the points 0, 1, 2^s, ...
+    # in C = c^s, and n + 1 of them determine a C-degree n
+    x = BiPoly.gen("x")
+    C = BiPoly.cgen("x") ** stride
+    f = x ** 3 - 7 * C * x + 3 * C ** 2 - 2 * C ** 3 + 5
+    vals = [f.specialize_c_int(t) for t in range(4)]
+    assert interpolate_intpolys(vals, "x", "c", stride) == f
+    # the same values read at stride 1 give a different, lower-degree
+    # polynomial: the stride is a claim the values cannot check
+    assert interpolate_intpolys(vals, "x", "c").deg_c == 3
+    with pytest.raises(DivisionNotExact):
+        # no polynomial in Z[c^s] takes these values at c = 0, 1, 2
+        interpolate_intpolys([IntPoly.const(v, "x") for v in (0, 1, 0)],
+                             "x", "c", stride)
+    with pytest.raises(ValueError):
+        interpolate_intpolys(vals, "x", "c", 0)

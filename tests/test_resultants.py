@@ -155,6 +155,23 @@ def test_bound_too_small():
     assert charpoly_interp(z - c, z - 1, degc_bound=1) == x - cx + 1
 
 
+def test_unjustified_stride_caught():
+    z = BiPoly.gen("z")
+    c = BiPoly.cgen("z")
+    x = BiPoly.gen("x")
+    cx = BiPoly.cgen("x")
+    # Res_z(z - c, x - z) = x - c is not in Z[x][c^2]: interpolated from
+    # the one node c = 0 it reads x, and the check node c = 1 refuses it
+    with pytest.raises(BoundTooSmall):
+        charpoly_interp(z - c, z, degc_bound=1, stride=2)
+    assert charpoly_interp(z - c, z, degc_bound=1) == x - cx
+    # x - c^2 is in Z[x][c^2], and stride 2 needs one node fewer
+    assert charpoly_interp(z - c * c, z, degc_bound=2, stride=2) == x - cx * cx
+    for stride in (0, -1):
+        with pytest.raises(ValueError):
+            charpoly_interp(z - c, z, degc_bound=1, stride=stride)
+
+
 def test_zero_polynomial_refused():
     z = BiPoly.gen("z")
     zero = z - z
