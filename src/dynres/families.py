@@ -8,12 +8,15 @@ shifted       z^(d+1) - c z^d + c  (d >= 1), also spelled (z - c) z^d + c
 quadcrit      z^(d+2) + c z^2    (d >= 1)
 
 The period-n dynatomic polynomial is the Moebius product over divisors
-of n of (f^k(z) - z), assembled here as one numerator product, one
+of n of (f^k(z) - z).  numtheory.moebius_product assembles it, as it
+does every Moebius product here, from one numerator product, one
 denominator product and a single exact division; dynatomic caches it,
 and also builds the dynatomic polynomials of an iterate f^l from the
-cached iterates of f.  The multiplier polynomial delta_m, whose
-m-th power is Res_z(Phi*_m, x - (f^m)'), is interpolated in c from
-integer nodes by resultants.charpoly_interp.  At each node its power
+cached iterates of f.  orbit_product multiplies a polynomial h along
+the orbit of z, and (f^m)' is the orbit product of f' over m steps.
+The multiplier polynomial delta_m, whose m-th power is
+Res_z(Phi*_m, x - (f^m)'), is interpolated in c from integer nodes by
+resultants.charpoly_interp.  At each node its power
 sums are the traces of ((f^m)')^k modulo Phi*_m divided by m, for k up
 to its x-degree, and Newton's identities turn them into delta_m; the
 number of nodes comes from the proven bound multiplier_degc_bound.  The
@@ -38,7 +41,7 @@ import dataclasses
 import functools
 
 from .errors import GuardrailExceeded
-from .numtheory import divisors, dynatomic_degree, mobius
+from .numtheory import dynatomic_degree, moebius_product
 from .polycore import BiPoly, nth_root
 from .report import Verdict
 from .resultants import charpoly_interp, orbit_degc_bound
@@ -126,15 +129,7 @@ def dynatomic(fam: Family, n: int, step: int = 1) -> BiPoly:
     if n < 1:
         raise ValueError("period must be positive")
     z = BiPoly.gen("z")
-    num = BiPoly.const(1, "z")
-    den = BiPoly.const(1, "z")
-    for k in divisors(n):
-        mu = mobius(n // k)
-        if mu == 1:
-            num = num * (iterate(fam, step * k) - z)
-        elif mu == -1:
-            den = den * (iterate(fam, step * k) - z)
-    poly = num.exact_div(den)
+    poly = moebius_product(n, lambda k: iterate(fam, step * k) - z)
     deg = dynatomic_degree(fam.map_degree ** step, n)
     if poly.degree != deg:
         raise AssertionError(
@@ -144,16 +139,21 @@ def dynatomic(fam: Family, n: int, step: int = 1) -> BiPoly:
     return poly
 
 
+def orbit_product(fam: Family, h: BiPoly, steps: int) -> BiPoly:
+    """prod over i < steps of h(f^i(z)), the product of h along the orbit
+    of z; this is the G of resultants.orbit_degc_bound."""
+    out = BiPoly.const(1, "z")
+    for i in range(steps):
+        out = out * h.compose(iterate(fam, i))
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def multiplier_derivative(fam: Family, m: int) -> BiPoly:
     """(f^m)' written as the chain-rule product of f' along the orbit."""
     if m < 1:
         raise ValueError("period must be positive")
-    fprime = fam.map_poly.derivative()
-    out = BiPoly.const(1, "z")
-    for i in range(m):
-        out = out * fprime.compose(iterate(fam, i))
-    return out
+    return orbit_product(fam, fam.map_poly.derivative(), m)
 
 
 def c_stride(fam: Family) -> int:
@@ -245,18 +245,7 @@ def multiplier_via_product(fam: Family, m: int) -> BiPoly:
     Must agree with multiplier_poly; the test suite compares the two and
     never collapses them into one.
     """
-    num = BiPoly.const(1, "x")
-    den = BiPoly.const(1, "x")
-    for k in divisors(m):
-        mu = mobius(m // k)
-        if mu == 0:
-            continue
-        res = fixed_point_resultant(fam, k, m)
-        if mu == 1:
-            num = num * res
-        else:
-            den = den * res
-    ratio = num.exact_div(den)
+    ratio = moebius_product(m, lambda k: fixed_point_resultant(fam, k, m))
     return nth_root(ratio, m)
 
 

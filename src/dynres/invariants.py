@@ -26,11 +26,12 @@ import functools
 import math
 
 from .errors import NotInSubring
-from .families import (Family, dynatomic, fixed_point_resultant, iterate,
-                       multiplier_derivative, multiplier_poly,
-                       multiplier_scale)
+from .families import (Family, c_stride, dynatomic, fixed_point_resultant,
+                       iterate, multiplier_derivative, multiplier_poly,
+                       multiplier_scale, orbit_product)
 from .numtheory import (common_prime_part, cyclotomic, divisors,
-                        dynatomic_degree, euler_phi, factorize, mobius)
+                        dynatomic_degree, euler_phi, factorize,
+                        moebius_product)
 from .polycore import BiPoly, IntPoly, eval_at_bipoly
 from .report import Verdict
 from .resultants import (charpoly_int, charpoly_interp, orbit_degc_bound,
@@ -181,15 +182,12 @@ def degree_formula_check(fam: Family, n: int) -> list[Verdict]:
 
 
 def _rescale_params(fam: Family) -> tuple[int, int]:
-    """(stride, unit): the subring variable is unit * c**stride scaled."""
+    """(stride, unit): the subring variable is unit * c**stride scaled,
+    with the stride that conjugation proves (families.c_stride)."""
+    if fam.kind == "quadcrit":
+        raise ValueError("no rescaling claim for the %s family" % fam.kind)
     d = fam.d
-    if fam.kind == "unicritical":
-        return d - 1, d ** d
-    if fam.kind == "linearterm":
-        return 1, d
-    if fam.kind == "shifted":
-        return d, d ** d
-    raise ValueError("no rescaling claim for the %s family" % fam.kind)
+    return c_stride(fam), d if fam.kind == "linearterm" else d ** d
 
 
 def _extract_intpoly(p: IntPoly, stride: int, unit: int,
@@ -279,8 +277,7 @@ def monicness_check(fam: Family, m: int) -> Verdict:
     _psi, sign = rescaled_multiplier(fam, m)
     params = {"family": fam.label(), "m": m}
     if fam.kind == "unicritical":
-        dm = dynatomic_degree(fam.d, m)
-        predicted = -1 if (dm // m + dm * (fam.d - 1)) % 2 else 1
+        predicted = -1 if _delta_parity(fam.d, m) else 1
         ok = sign == predicted
         return Verdict(check="delta-rescale-monic-sign", params=params,
                        passed=ok,
@@ -392,9 +389,7 @@ def unicritical_delta_lt_check(fam: Family, m: int) -> Verdict:
     dm = dynatomic_degree(d, m)
     delta = multiplier_poly(fam, m).delta
     degc = (d - 1) * dm // d
-    coef = d ** dm
-    if (dm // m + dm * (d - 1)) % 2:
-        coef = -coef
+    coef = -d ** dm if _delta_parity(d, m) else d ** dm
     residual = _constant_lead(delta, degc, coef)
     return Verdict(check="delta-constant-leading-term",
                    params={"family": fam.label(), "m": m},
@@ -427,11 +422,7 @@ class AuxShifted:
 
 def _orbit_product(d: int, k: int) -> BiPoly:
     """z * ftil(z) * ... * ftil^(k-1)(z); this is F_k + 1."""
-    shifted = Family("shifted", d)
-    out = BiPoly.const(1, "z")
-    for i in range(k):
-        out = out * iterate(shifted, i)
-    return out
+    return orbit_product(Family("shifted", d), BiPoly.gen("z"), k)
 
 
 def _linear_factor(d: int) -> BiPoly:
@@ -441,12 +432,7 @@ def _linear_factor(d: int) -> BiPoly:
 
 def _cleared_product(d: int, m: int) -> BiPoly:
     """prod over i < m of ((d+1) ftil^i(z) - dc), denominators cleared."""
-    shifted = Family("shifted", d)
-    factor = _linear_factor(d)
-    out = BiPoly.const(1, "z")
-    for i in range(m):
-        out = out * factor.compose(iterate(shifted, i))
-    return out
+    return orbit_product(Family("shifted", d), _linear_factor(d), m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -590,19 +576,8 @@ def delta_aux_product_check(kind: str, d: int, m: int) -> Verdict:
     """
     fam = Family(kind, d)
     lhs = multiplier_poly(fam, m).delta ** m
-    num = BiPoly.const(1, "x")
-    den = BiPoly.const(1, "x")
-    for k in divisors(m):
-        mu = mobius(m // k)
-        if mu == 0:
-            continue
-        R = aux_nonunicritical(d, k, m).R if kind == "linearterm" \
-            else aux_shifted(d, k, m).R
-        if mu == 1:
-            num = num * R
-        else:
-            den = den * R
-    ratio = num.exact_div(den)
+    aux = aux_nonunicritical if kind == "linearterm" else aux_shifted
+    ratio = moebius_product(m, lambda k: aux(d, k, m).R)
     if kind == "linearterm":
         ratio = ratio ** d
         fix_deg = m

@@ -6,6 +6,7 @@ the arguments never get large (periods up to a few dozen).
 from __future__ import annotations
 
 import functools
+import math
 
 from .polycore import IntPoly
 
@@ -82,20 +83,37 @@ def dynatomic_degree(d: int, n: int) -> int:
     return sum(mobius(n // k) * d ** k for k in divisors(n))
 
 
+def moebius_product(n: int, factor):
+    """prod over k | n of factor(k) ** mu(n/k), as one exact division.
+
+    The factors with mu(n/k) = 1 make one numerator product and those
+    with mu(n/k) = -1 one denominator product, each multiplied in
+    increasing order of k; factor is never called where mu(n/k) = 0.  A
+    quotient that is not exact raises DivisionNotExact.
+
+    >>> x = IntPoly.gen("x")
+    >>> str(moebius_product(6, lambda k: x ** k - 1))
+    'x^2 - x + 1'
+    """
+    num, den = [], []
+    for k in divisors(n):
+        mu = mobius(n // k)
+        if mu:
+            (num if mu == 1 else den).append(factor(k))
+    return math.prod(num).exact_div(math.prod(den)) if den else math.prod(num)
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, by iterated exact division.
+    """The n-th cyclotomic polynomial, the Moebius product of x^k - 1.
 
     >>> str(cyclotomic(1)), str(cyclotomic(2)), str(cyclotomic(6))
     ('x - 1', 'x + 1', 'x^2 - x + 1')
     """
     if n < 1:
         raise ValueError("cyclotomic index must be positive")
-    num = IntPoly((-1,) + (0,) * (n - 1) + (1,), "x")
-    for k in divisors(n):
-        if k != n:
-            num = num.exact_div(cyclotomic(k))
-    return num
+    x = IntPoly.gen("x")
+    return moebius_product(n, lambda k: x ** k - 1)
 
 
 def common_prime_part(m: int, k: int) -> int:

@@ -42,40 +42,30 @@ def naive_height(c: Fraction) -> int:
 
 
 def escape_certificate(fam: Family, c: Fraction) -> str | None:
-    """An exact reason why the critical orbit escapes, or None.
+    """An exact reason why the critical orbit of z^d + c escapes, or None.
 
     A returned certificate rules out every non-repelling cycle at once.
     """
+    if fam.kind != "unicritical":
+        raise ValueError("no escape bound stated for the %s family" % fam.kind)
     c = Fraction(c)
     p, q = abs(c.numerator), c.denominator
     d = fam.d
-    if fam.kind == "unicritical":
-        if p ** (d - 1) > 2 * q ** (d - 1):
-            return "modulus-growth"
-        if d == 2 and c > Fraction(1, 4):
-            # z^2 + c - z = (z - 1/2)^2 + (c - 1/4), so the real orbit
-            # of 0 increases by at least c - 1/4 each step.
-            return "real-monotone-escape"
-        return None
-    if fam.kind == "linearterm":
-        if d ** d * p ** d > (2 * d + 2) * ((d + 1) * q) ** d:
-            return "modulus-growth"
-        if d ** d * p ** d > 2 * (d + 1) ** (d + 1) * q ** d and p > q:
-            return "critical-orbit-escape"
-        return None
-    raise ValueError("no escape bound stated for the %s family" % fam.kind)
+    if p ** (d - 1) > 2 * q ** (d - 1):
+        return "modulus-growth"
+    if d == 2 and c > Fraction(1, 4):
+        # z^2 + c - z = (z - 1/2)^2 + (c - 1/4), so the real orbit
+        # of 0 increases by at least c - 1/4 each step.
+        return "real-monotone-escape"
+    return None
 
 
 def parabolic_height_test(fam: Family, c: Fraction) -> bool:
     """Whether c clears the exact height bound required of a rational
-    parameter with a parabolic cycle."""
-    H = naive_height(c)
-    d = fam.d
-    if fam.kind == "unicritical":
-        return H ** (d - 1) <= 2 * d ** d
-    if fam.kind == "linearterm":
-        return H ** d <= (2 * d + 2) * (d + 1) ** d
-    raise ValueError("no height bound stated for the %s family" % fam.kind)
+    parameter of z^d + c with a parabolic cycle."""
+    if fam.kind != "unicritical":
+        raise ValueError("no height bound stated for the %s family" % fam.kind)
+    return naive_height(c) ** (fam.d - 1) <= 2 * fam.d ** fam.d
 
 
 def enumerate_candidates(d: int) -> list[Fraction]:

@@ -332,14 +332,6 @@ class BiPoly(_Dense):
     # wraps BiPoly.__dict__["exact_div"].
     exact_div = _Dense.exact_div
 
-    def shift_main(self, k: int) -> "BiPoly":
-        if k < 0:
-            raise ValueError("negative shift")
-        if not self.coeffs:
-            return self
-        zero = IntPoly((), self.cvar)
-        return BiPoly((zero,) * k + self.coeffs, self.main_var, self.cvar)
-
     def rem_monic(self, mod: "BiPoly") -> "BiPoly":
         """Remainder modulo a polynomial monic in the main variable."""
         if not mod.is_monic:
@@ -390,18 +382,15 @@ def eval_at_bipoly(p: IntPoly, value: BiPoly) -> BiPoly:
     return _horner(p.coeffs, value, BiPoly((), value.main_var, value.cvar))
 
 
-def _binomial_row(n: int) -> list[int]:
-    row = [1]
-    for k in range(n):
-        row.append(row[-1] * (n - k) // (k + 1))
-    return row
-
-
 def nth_root(p: BiPoly, n: int) -> BiPoly:
     """Exact n-th root of a polynomial monic in its main variable.
 
-    Coefficients are matched from the top down; each one is determined by
-    a single exact division by n.  The candidate is then re-expanded and
+    Coefficients are matched from the top down.  Adding a x^(k-j) to a
+    monic partial root r of degree k, whose terms below x^(k-j+1) are
+    still zero, changes r^n at x^(nk-j) by n a and leaves every higher
+    coefficient alone; so each coefficient is one exact division,
+    a = ([x^(nk-j)] p - [x^(nk-j)] r^n) / n, and no later term can undo
+    a match already made.  The candidate is then re-expanded and
     compared against the input, so a wrong root can never be returned.
 
     >>> z = BiPoly.gen("z")
@@ -420,41 +409,16 @@ def nth_root(p: BiPoly, n: int) -> BiPoly:
     if deg % n != 0:
         raise NotPerfectPower("degree %d is not divisible by %d" % (deg, n))
     k = deg // n
-    zero = IntPoly((), p.cvar)
-
-    # Maintain root^s for s = 0..n while filling in coefficients of the
-    # root from x^k downward.  Adding a term a*x^i updates each power by
-    # the binomial expansion; descending order keeps lower powers intact
-    # until they have been used.
-    root_coeffs = [zero] * k + [IntPoly.const(1, p.cvar)]
-    powers = [BiPoly.const(1, p.main_var, p.cvar)]
-    base = BiPoly([zero] * k + [IntPoly.const(1, p.cvar)], p.main_var, p.cvar)
-    for s in range(1, n + 1):
-        powers.append(powers[-1] * base)
-
-    binom = [_binomial_row(s) for s in range(n + 1)]
+    coeffs = [IntPoly((), p.cvar)] * k + [IntPoly.const(1, p.cvar)]
     for j in range(1, k + 1):
-        i = k - j
-        target = p.coeff(n * k - j)
-        have = powers[n].coeff(n * k - j)
+        have = BiPoly(coeffs, p.main_var, p.cvar) ** n
         try:
-            a = (target - have).divexact_scalar(n)
+            coeffs[k - j] = (p.coeff(n * k - j)
+                             - have.coeff(n * k - j)).divexact_scalar(n)
         except DivisionNotExact as exc:
             raise NotPerfectPower("coefficient match fails: %s" % exc) from exc
-        root_coeffs[i] = a
-        if a.is_zero:
-            continue
-        a_pows = [IntPoly.const(1, p.cvar), a]
-        for s in range(n, 0, -1):
-            acc = powers[s]
-            for t in range(1, s + 1):
-                while len(a_pows) <= t:
-                    a_pows.append(a_pows[-1] * a)
-                term = powers[s - t].scale_c(a_pows[t] * binom[s][t]).shift_main(i * t)
-                acc = acc + term
-            powers[s] = acc
-    root = BiPoly(root_coeffs, p.main_var, p.cvar)
-    if powers[n] != p:
+    root = BiPoly(coeffs, p.main_var, p.cvar)
+    if root ** n != p:
         raise NotPerfectPower("re-expansion check failed")
     return root
 

@@ -45,12 +45,14 @@ from .polycore import (BiPoly, IntPoly, NewtonPolygon, _polymul,
 # fraction-free determinants
 
 
-def bareiss_det(rows, is_zero, exact_div, zero, one):
-    """Determinant of a square matrix over an integral domain.
+def bareiss_det(rows, zero, one):
+    """Determinant of a square matrix of polynomials over an integral
+    domain.
 
     ``rows`` is a list of lists and is consumed.  Division by the
-    previous pivot is exact at every step (Bareiss); ``exact_div`` must
-    raise if that ever fails, which would indicate corrupted input.
+    previous pivot is exact at every step (Bareiss); the entries'
+    ``exact_div`` raises if that ever fails, which would indicate
+    corrupted input.
     """
     n = len(rows)
     if n == 0:
@@ -58,9 +60,9 @@ def bareiss_det(rows, is_zero, exact_div, zero, one):
     sign = 1
     prev = one
     for k in range(n - 1):
-        if is_zero(rows[k][k]):
+        if rows[k][k].is_zero:
             for i in range(k + 1, n):
-                if not is_zero(rows[i][k]):
+                if not rows[i][k].is_zero:
                     rows[k], rows[i] = rows[i], rows[k]
                     sign = -sign
                     break
@@ -71,7 +73,7 @@ def bareiss_det(rows, is_zero, exact_div, zero, one):
             head = rows[i][k]
             for j in range(k + 1, n):
                 num = rows[i][j] * pivot - head * rows[k][j]
-                rows[i][j] = exact_div(num, prev)
+                rows[i][j] = num.exact_div(prev)
             rows[i][k] = zero
         prev = pivot
     det = rows[n - 1][n - 1]
@@ -80,21 +82,17 @@ def bareiss_det(rows, is_zero, exact_div, zero, one):
     return det
 
 
-def _poly_div(a, b):
-    return a.exact_div(b)
-
-
 def det_intpoly(rows: list[list[IntPoly]], cvar: str = "c") -> IntPoly:
     zero = IntPoly((), cvar)
     one = IntPoly.const(1, cvar)
-    return bareiss_det(rows, lambda a: a.is_zero, _poly_div, zero, one)
+    return bareiss_det(rows, zero, one)
 
 
 def det_bipoly(rows: list[list[BiPoly]], main_var: str = "x",
                cvar: str = "c") -> BiPoly:
     zero = BiPoly((), main_var, cvar)
     one = BiPoly.const(1, main_var, cvar)
-    return bareiss_det(rows, lambda a: a.is_zero, _poly_div, zero, one)
+    return bareiss_det(rows, zero, one)
 
 
 # ---------------------------------------------------------------------------

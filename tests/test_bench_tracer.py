@@ -35,3 +35,30 @@ def test_tracer_install_and_uninstall():
     for name, mod in mods.items():
         after = vars(mod)
         assert all(after[k] is v for k, v in before[name].items()), name
+
+
+# Names retired from dynres whose metrics the benchmark still lists;
+# they read 0 until the benchmark drops them.
+RETIRED = {"resultants.charpoly_powersum", "resultants.resultant_int",
+           "polycore.interpolate_int", "resultants.charpoly_resultant"}
+
+
+def test_traced_names_resolve():
+    """A per-layer metric whose name no longer resolves reads 0 for
+    ever, so every name the tracer times, counts or reads output from
+    must still be a callable of dynres."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = (set(tracing.SELF_TIMED) | set(tracing.CALL_COUNTED)
+             | set(tracing.OUTPUT_CALLS))
+    missing = []
+    for name in sorted(names - RETIRED):
+        modname, *path = name.split(".")
+        assert modname in tracing.MODULES, name
+        obj = importlib.import_module("dynres." + modname)
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(name)
+    assert missing == []

@@ -1,3 +1,5 @@
+import pytest
+
 from dynres.numtheory import (
     common_prime_part,
     cyclotomic,
@@ -6,7 +8,9 @@ from dynres.numtheory import (
     euler_phi,
     factorize,
     mobius,
+    moebius_product,
 )
+from dynres.errors import DivisionNotExact
 from dynres.polycore import IntPoly
 
 
@@ -67,6 +71,21 @@ def test_cyclotomic_product():
             prod = prod * cyclotomic(k)
         want = IntPoly([-1] + [0] * (n - 1) + [1], "x")
         assert prod == want
+
+
+def test_moebius_product():
+    x = IntPoly.gen("x")
+    one = x + 1
+    assert moebius_product(1, lambda k: one) == one
+    for n in range(1, 31):
+        assert moebius_product(n, lambda k: x ** k - 1) == cyclotomic(n)
+    # factor is asked only where mu(n/k) is nonzero, in divisor order
+    asked = []
+    moebius_product(12, lambda k: asked.append(k) or x ** k - 1)
+    assert asked == [2, 4, 6, 12]
+    # (x + 1)^mu(2/1) (x + 2)^mu(2/2) = (x + 2) / (x + 1) is not exact
+    with pytest.raises(DivisionNotExact):
+        moebius_product(2, lambda k: x + k)
 
 
 def test_common_prime_part():

@@ -47,7 +47,9 @@ def test_escape_certificates():
     assert escape_certificate(FAM2, F(1, 2)) == "real-monotone-escape"
     assert escape_certificate(FAM2, F(-3, 4)) is None
     assert escape_certificate(FAM2, F(-2)) is None
-    assert escape_certificate(Family("linearterm", 1), F(9)) == "modulus-growth"
+    # Only z^d + c has escape bounds; the classifier refuses the rest.
+    with pytest.raises(ValueError):
+        escape_certificate(Family("linearterm", 1), F(9))
     with pytest.raises(ValueError):
         escape_certificate(Family("quadcrit", 1), F(1))
 
