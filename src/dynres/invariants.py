@@ -72,23 +72,13 @@ def _pow_rem(base: BiPoly, e: int, mod: BiPoly) -> BiPoly:
     return result
 
 
-def _epsilon(m: int) -> int:
-    return 1 if m == 1 else 0
-
-
-def _lt(p: IntPoly) -> tuple[int, int]:
-    """(degree, leading coefficient); the zero polynomial is refused."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no leading term")
-    return p.degree, p.lc
-
-
 def _constant_lead(P: BiPoly, degc: int, coef: int) -> str | None:
     """None when the top c-term of P is coef c^degc and sits in the
-    x-constant coefficient alone; otherwise what breaks that claim."""
+    x-constant coefficient alone; otherwise what breaks that claim.  A
+    claim about a polynomial in c alone passes BiPoly.const(p, "x")."""
     problems = []
     const = P.coeff(0)
-    if _lt(const) != (degc, coef):
+    if (const.degree, const.lc) != (degc, coef):
         problems.append("constant term leading %s c^%s, expected %s c^%s"
                         % (const.lc, const.degree, coef, degc))
     for i in range(1, len(P.coeffs)):
@@ -132,19 +122,10 @@ def morton_vivaldi_check(fam: Family, n: int, m: int) -> Verdict:
         raise ValueError("need m | n and m < n")
     lhs = resultant(dynatomic(fam, n), dynatomic(fam, m))
     rhs = delta_nm(fam, n, m) ** m
-    if lhs == rhs:
-        sign = 1
-    elif lhs == -rhs:
-        sign = -1
-    else:
-        sign = None
-    return Verdict(
-        check="resultant-power-identity",
-        params={"family": fam.label(), "n": n, "m": m},
-        passed=sign is not None,
-        residual=None if sign is not None else str(lhs - rhs),
-        witness={"sign": sign},
-    )
+    sign = 1 if lhs == rhs else -1 if lhs == -rhs else None
+    return Verdict.claim("resultant-power-identity",
+                         {"family": fam.label(), "n": n, "m": m},
+                         None if sign else str(lhs - rhs), {"sign": sign})
 
 
 def degree_formula_check(fam: Family, n: int) -> list[Verdict]:
@@ -158,22 +139,16 @@ def degree_formula_check(fam: Family, n: int) -> list[Verdict]:
     out = []
     offsum = 0
     for m in divisors(n):
-        poly = delta_nm(fam, n, m)
-        observed = poly.degree if not poly.is_zero else None
+        observed = delta_nm(fam, n, m).degree
         if m < n:
             expected = euler_phi(n // m) * dynatomic_degree(2, m) // 2
             offsum += expected
         else:
             expected = dynatomic_degree(2, n) // 2 - offsum
-        # A degree-0 invariant (like Delta_{2,2} = -1) reports degree 0.
-        observed = 0 if observed is None and not poly.is_zero else observed
-        out.append(Verdict(
-            check="delta-degree-formula",
-            params={"family": fam.label(), "n": n, "m": m},
-            passed=observed == expected,
-            residual=None if observed == expected
-            else "observed %s, expected %s" % (observed, expected),
-        ))
+        out.append(Verdict.claim(
+            "delta-degree-formula", {"family": fam.label(), "n": n, "m": m},
+            None if observed == expected
+            else "observed %s, expected %s" % (observed, expected)))
     return out
 
 
@@ -261,10 +236,9 @@ def integrality_check(fam: Family, m: int) -> Verdict:
     try:
         _psi, sign = rescaled_multiplier(fam, m)
     except NotInSubring as exc:
-        return Verdict(check="delta-rescale-integrality", params=params,
-                       passed=False, residual=str(exc))
-    return Verdict(check="delta-rescale-integrality", params=params,
-                   passed=True, witness={"sign": sign})
+        return Verdict.claim("delta-rescale-integrality", params, str(exc))
+    return Verdict.claim("delta-rescale-integrality", params,
+                         witness={"sign": sign})
 
 
 def monicness_check(fam: Family, m: int) -> Verdict:
@@ -278,17 +252,13 @@ def monicness_check(fam: Family, m: int) -> Verdict:
     params = {"family": fam.label(), "m": m}
     if fam.kind == "unicritical":
         predicted = -1 if _delta_parity(fam.d, m) else 1
-        ok = sign == predicted
-        return Verdict(check="delta-rescale-monic-sign", params=params,
-                       passed=ok,
-                       residual=None if ok else
-                       "observed %s, predicted %s" % (sign, predicted),
-                       witness={"sign": sign})
-    ok = sign is not None
-    return Verdict(check="delta-rescale-monic-unit", params=params,
-                   passed=ok,
-                   residual=None if ok else "leading part is not a unit",
-                   witness={"sign": sign})
+        return Verdict.claim("delta-rescale-monic-sign", params,
+                             None if sign == predicted else
+                             "observed %s, predicted %s" % (sign, predicted),
+                             {"sign": sign})
+    return Verdict.claim("delta-rescale-monic-unit", params,
+                         None if sign else "leading part is not a unit",
+                         {"sign": sign})
 
 
 def _delta_parity(d: int, m: int) -> int:
@@ -327,29 +297,25 @@ def psi_monicness_check(fam: Family, n: int, m: int) -> Verdict:
         raise ValueError("need m | n")
     params = {"family": fam.label(), "n": n, "m": m}
     poly = delta_nm(fam, n, m)
+    check = "resultant-rescale-monic"
     try:
         psi, sign = rescale_extract(poly, fam)
     except NotInSubring as exc:
-        return Verdict(check="resultant-rescale-monic", params=params,
-                       passed=False, residual=str(exc))
+        return Verdict.claim(check, params, str(exc))
     stated = -1 if (euler_phi(n) * _delta_parity(fam.d, m)) % 2 else 1
     predicted = predicted_psi_sign(fam.d, n, m)
     if psi.is_zero:
-        return Verdict(check="resultant-rescale-monic", params=params,
-                       passed=False, residual="zero invariant")
+        return Verdict.claim(check, params, "zero invariant")
     if psi.degree == 0:
         # Degree-zero invariants carry no leading-coefficient claim in c.
-        return Verdict(check="resultant-rescale-monic", params=params,
-                       passed=True,
-                       witness={"sign": None, "constant": str(psi)})
-    ok = sign == predicted
-    return Verdict(check="resultant-rescale-monic", params=params,
-                   passed=ok,
-                   residual=None if ok else
-                   "observed %s, predicted %s, printed %s"
-                   % (sign, predicted, stated),
-                   witness={"sign": sign, "printed_sign": stated,
-                            "predicted_sign": predicted})
+        return Verdict.claim(check, params,
+                             witness={"sign": None, "constant": str(psi)})
+    return Verdict.claim(check, params,
+                         None if sign == predicted else
+                         "observed %s, predicted %s, printed %s"
+                         % (sign, predicted, stated),
+                         {"sign": sign, "printed_sign": stated,
+                          "predicted_sign": predicted})
 
 
 # ---------------------------------------------------------------------------
@@ -374,10 +340,9 @@ def unicritical_res_lt_check(fam: Family, k: int, m: int) -> Verdict:
     coef = d ** (d * m * d ** (k - 1))
     if d ** k * (1 + m * (d - 1)) % 2:
         coef = -coef
-    residual = _constant_lead(res, degc, coef)
-    return Verdict(check="fixedpoint-resultant-leading-term",
-                   params={"family": fam.label(), "k": k, "m": m},
-                   passed=residual is None, residual=residual)
+    return Verdict.claim("fixedpoint-resultant-leading-term",
+                         {"family": fam.label(), "k": k, "m": m},
+                         _constant_lead(res, degc, coef))
 
 
 def unicritical_delta_lt_check(fam: Family, m: int) -> Verdict:
@@ -390,10 +355,9 @@ def unicritical_delta_lt_check(fam: Family, m: int) -> Verdict:
     delta = multiplier_poly(fam, m).delta
     degc = (d - 1) * dm // d
     coef = -d ** dm if _delta_parity(d, m) else d ** dm
-    residual = _constant_lead(delta, degc, coef)
-    return Verdict(check="delta-constant-leading-term",
-                   params={"family": fam.label(), "m": m},
-                   passed=residual is None, residual=residual)
+    return Verdict.claim("delta-constant-leading-term",
+                         {"family": fam.label(), "m": m},
+                         _constant_lead(delta, degc, coef))
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +465,10 @@ def linearterm_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
                                 _cleared_product(d, m).compose(tau)))
 
     x = BiPoly.gen("x")
-    cm = BiPoly.const(IntPoly([0] * m + [1], "c"), "x")
     out.append(Verdict.identity("resultant-split-fixed-factor",
                                 {"family": fam.label(), "k": k, "m": m},
                                 fixed_point_resultant(fam, k, m),
-                                (x - cm) * aux.R ** d))
+                                (x - BiPoly.cgen("x") ** m) * aux.R ** d))
 
     ftil = Family("shifted", d).map_poly
     out.append(Verdict.identity("aux-root-permutation", {"d": d, "k": k},
@@ -533,16 +496,16 @@ def shifted_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
 
     res = fixed_point_resultant(fam, k, m)
     x = BiPoly.gen("x")
-    cmd = BiPoly.const(IntPoly([0] * (m * d) + [1], "c"), "x")
     out.append(Verdict.identity("resultant-split-fixed-factor",
                                 {"family": fam.label(), "k": k, "m": m},
-                                res, (x - cmd) * aux.R))
+                                res,
+                                (x - BiPoly.cgen("x") ** (m * d)) * aux.R))
 
     # The fixed point z = c has multiplier c^(m d) under the m-th iterate.
     out.append(Verdict.identity("fixed-multiplier-value",
                                 {"family": fam.label(), "m": m},
                                 deriv.eval_main_int(IntPoly.gen("c")),
-                                IntPoly([0] * (m * d) + [1], "c")))
+                                IntPoly.gen("c") ** (m * d)))
 
     # Conjugating z by a d-th root of unity fixes the resultant, so its
     # x-coefficients only involve powers c^(d j).  The resultant is
@@ -560,11 +523,10 @@ def shifted_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
         problems.append("x-coefficients %s" % bad)
     if off_node:
         problems.append("differs from the charpoly at c = %s" % off_node)
-    out.append(Verdict(
-        check="resultant-parameter-power-support",
-        params={"family": fam.label(), "k": k, "m": m, "modulus": d},
-        passed=not problems,
-        residual="; ".join(problems) or None))
+    out.append(Verdict.claim(
+        "resultant-parameter-power-support",
+        {"family": fam.label(), "k": k, "m": m, "modulus": d},
+        "; ".join(problems) or None))
     return out
 
 
@@ -583,9 +545,8 @@ def delta_aux_product_check(kind: str, d: int, m: int) -> Verdict:
         fix_deg = m
     else:
         fix_deg = m * d
-    if _epsilon(m):
-        x = BiPoly.gen("x")
-        ratio = (x - BiPoly.const(IntPoly([0] * fix_deg + [1], "c"), "x")) * ratio
+    if m == 1:
+        ratio = (BiPoly.gen("x") - BiPoly.cgen("x") ** fix_deg) * ratio
     return Verdict.identity("delta-aux-product",
                             {"family": fam.label(), "m": m}, lhs, ratio)
 
@@ -605,13 +566,12 @@ def aux_integrality_check(kind: str, d: int, k: int, m: int) -> Verdict:
     try:
         _psi, sign = rescale_extract(scaled, Family("linearterm", d))
     except NotInSubring as exc:
-        return Verdict(check="aux-scaled-integrality", params=params,
-                       passed=False, residual=str(exc))
+        return Verdict.claim("aux-scaled-integrality", params, str(exc))
     if monic_claimed and sign is None:
-        return Verdict(check="aux-scaled-integrality", params=params,
-                       passed=False, residual="not monic in dc up to a unit")
-    return Verdict(check="aux-scaled-integrality", params=params,
-                   passed=True, witness={"sign": sign})
+        return Verdict.claim("aux-scaled-integrality", params,
+                             "not monic in dc up to a unit")
+    return Verdict.claim("aux-scaled-integrality", params,
+                         witness={"sign": sign})
 
 
 def aux_leading_term_check(d: int, k: int, m: int) -> Verdict:
@@ -623,10 +583,8 @@ def aux_leading_term_check(d: int, k: int, m: int) -> Verdict:
     sign_exp = ((m + 1) * ((d + 1) ** k - 1) + m * ((d + 1) ** (k - 1) - 1)) // d
     if sign_exp % 2:
         coef = -coef
-    residual = _constant_lead(R, degc, coef)
-    return Verdict(check="aux-leading-term",
-                   params={"d": d, "k": k, "m": m},
-                   passed=residual is None, residual=residual)
+    return Verdict.claim("aux-leading-term", {"d": d, "k": k, "m": m},
+                         _constant_lead(R, degc, coef))
 
 
 def aux_shifted_leading_check(d: int, k: int, m: int) -> Verdict:
@@ -635,51 +593,27 @@ def aux_shifted_leading_check(d: int, k: int, m: int) -> Verdict:
     R = aux_shifted(d, k, m).R
     degc = m * ((d + 1) ** k - 1)
     size = d ** (m * d * (d + 1) ** (k - 1))
-    deg, lc = _lt(R.coeff(0))
-    top_elsewhere = [i for i in range(1, len(R.coeffs))
-                     if not R.coeff(i).is_zero and R.coeff(i).degree >= degc]
-    ok = deg == degc and abs(lc) == size and not top_elsewhere
-    return Verdict(check="aux-leading-size",
-                   params={"d": d, "k": k, "m": m},
-                   passed=ok,
-                   residual=None if ok else
-                   "leading %s c^%s, expected +-%s c^%s%s"
-                   % (lc, deg, size, degc,
-                      "; top degree also in x^%s" % top_elsewhere
-                      if top_elsewhere else ""),
-                   witness={"sign": 1 if lc > 0 else -1})
+    sign = 1 if R.coeff(0).lc > 0 else -1
+    return Verdict.claim("aux-leading-size", {"d": d, "k": k, "m": m},
+                         _constant_lead(R, degc, sign * size),
+                         {"sign": sign})
 
 
 def cleared_eval_lt_check(d: int, k: int) -> list[Verdict]:
     """Leading terms of (d+1)^deg P * P(dc/(d+1)) for P the k-th iterate
     of (z-c) z^d + c and for P = F_k."""
-    out = []
-    nm = IntPoly((0, d), "c")   # d*c
-    val = _cleared_rational_eval(iterate(Family("shifted", d), k), nm, d + 1)
     e = (d + 1) ** (k - 1)
-    expect_deg = (d + 1) * e
-    expect_coef = (d ** d) ** e
-    if e % 2:
-        expect_coef = -expect_coef
-    ok = _lt(val) == (expect_deg, expect_coef)
-    out.append(Verdict(
-        check="cleared-eval-leading-term",
-        params={"d": d, "k": k, "poly": "iterate"},
-        passed=ok,
-        residual=None if ok else "leading %s c^%s" % (val.lc, val.degree)))
-
-    F_k = _orbit_product(d, k) - 1
-    val2 = _cleared_rational_eval(F_k, nm, d + 1)
-    deg2 = ((d + 1) ** k - 1) // d
-    coef2 = d ** ((d + 1) ** (k - 1))
-    if (((d + 1) ** (k - 1) - 1) // d) % 2:
-        coef2 = -coef2
-    ok2 = _lt(val2) == (deg2, coef2)
-    out.append(Verdict(
-        check="cleared-eval-leading-term",
-        params={"d": d, "k": k, "poly": "orbit-product"},
-        passed=ok2,
-        residual=None if ok2 else "leading %s c^%s" % (val2.lc, val2.degree)))
+    claims = (("iterate", iterate(Family("shifted", d), k),
+               (d + 1) * e, (-1) ** e * (d ** d) ** e),
+              ("orbit-product", _orbit_product(d, k) - 1,
+               ((d + 1) ** k - 1) // d, (-1) ** ((e - 1) // d) * d ** e))
+    nm = IntPoly((0, d), "c")   # d*c
+    out = []
+    for name, P, degc, coef in claims:
+        val = BiPoly.const(_cleared_rational_eval(P, nm, d + 1), "x")
+        out.append(Verdict.claim("cleared-eval-leading-term",
+                                 {"d": d, "k": k, "poly": name},
+                                 _constant_lead(val, degc, coef)))
     return out
 
 
@@ -710,32 +644,26 @@ def quadcrit_lt_check(d: int, n: int) -> Verdict:
     poly = delta_nm(fam, n, 1)
     phi = euler_phi(n)
     cyc2 = cyclotomic(n)(2)
-    deg, lc = _lt(poly)
-    ok = deg == (d + 1) * phi and abs(lc) == d ** (d * phi) * abs(cyc2)
-    return Verdict(check="quadcrit-delta-leading-coefficient",
-                   params={"d": d, "n": n},
-                   passed=ok,
-                   residual=None if ok else
-                   "leading %s c^%s, expected +-%s c^%s"
-                   % (lc, deg, d ** (d * phi) * abs(cyc2), (d + 1) * phi),
-                   witness={"sign": 1 if lc > 0 else -1, "cyc_at_2": cyc2})
+    sign = 1 if poly.lc > 0 else -1
+    return Verdict.claim("quadcrit-delta-leading-coefficient",
+                         {"d": d, "n": n},
+                         _constant_lead(BiPoly.const(poly, "x"), (d + 1) * phi,
+                                        sign * d ** (d * phi) * abs(cyc2)),
+                         {"sign": sign, "cyc_at_2": cyc2})
 
 
 def cyclotomic_prime_check(n: int) -> Verdict:
     """cyc_n(2) has a prime divisor q = 1 mod n, except cyc_6(2) = 3."""
     value = cyclotomic(n)(2)
     if n == 6:
-        ok = value == 3
-        return Verdict(check="cyclotomic-value-prime-divisor",
-                       params={"n": n}, passed=ok,
-                       residual=None if ok else "cyc_6(2) = %d" % value,
-                       witness={"value": value, "exception": True})
+        return Verdict.claim("cyclotomic-value-prime-divisor", {"n": n},
+                             None if value == 3 else "cyc_6(2) = %d" % value,
+                             {"value": value, "exception": True})
     qs = [q for q in factorize(abs(value)) if q % n == 1]
-    return Verdict(check="cyclotomic-value-prime-divisor",
-                   params={"n": n}, passed=bool(qs),
-                   residual=None if qs else
-                   "no prime divisor of %d is 1 mod %d" % (value, n),
-                   witness={"value": value, "primes": qs})
+    return Verdict.claim("cyclotomic-value-prime-divisor", {"n": n},
+                         None if qs else
+                         "no prime divisor of %d is 1 mod %d" % (value, n),
+                         {"value": value, "primes": qs})
 
 
 # ---------------------------------------------------------------------------
@@ -780,12 +708,10 @@ def dynatomic_equality_check(fam: Family, k: int, m: int) -> Verdict:
         reg_lhs = red(multiplier_derivative(fam, mtil))
         second_ok = reg_lhs == lam_pow
         mode = "regularized-multiplier-power" if m > k else "trivial"
-    ok = first_ok and second_ok
-    return Verdict(check="iterate-dynatomic-value", params=params,
-                   passed=ok,
-                   residual=None if ok else
-                   "first %s, second %s" % (first_ok, second_ok),
-                   witness={"mode": mode})
+    return Verdict.claim("iterate-dynatomic-value", params,
+                         None if first_ok and second_ok else
+                         "first %s, second %s" % (first_ok, second_ok),
+                         {"mode": mode})
 
 
 def coprime_product_check(fam: Family, l: int, n: int) -> Verdict:

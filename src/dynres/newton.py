@@ -23,42 +23,38 @@ from .resultants import charpoly_interp, orbit_degc_bound
 # claimed shapes
 
 
+def _segment_claim(check: str, params: dict, P: BiPoly,
+                   want: tuple) -> Verdict:
+    """The claim that P has no roots at 0 and its polygon is the one
+    segment with vertices want."""
+    np_ = NewtonPolygon.of(P)
+    ok = np_.zero_order == 0 and np_.vertices == want
+    return Verdict.claim(check, params,
+                         None if ok else "vertices %s" % (np_.vertices,))
+
+
 def iterate_polygon_check(d: int, k: int) -> Verdict:
     """f^k - z for z^d + c: one segment from (0, -d^(k-1)) to (d^k, 0)."""
-    fam = Family("unicritical", d)
-    z = BiPoly.gen("z")
-    np_ = NewtonPolygon.of(iterate(fam, k) - z)
-    want = ((0, -d ** (k - 1)), (d ** k, 0))
-    ok = np_.zero_order == 0 and np_.vertices == want
-    return Verdict(check="iterate-polygon-single-slope",
-                   params={"d": d, "k": k},
-                   passed=ok,
-                   residual=None if ok else "vertices %s" % (np_.vertices,))
+    fk = iterate(Family("unicritical", d), k) - BiPoly.gen("z")
+    return _segment_claim("iterate-polygon-single-slope", {"d": d, "k": k},
+                          fk, ((0, -d ** (k - 1)), (d ** k, 0)))
 
 
 def delta_polygon_check(d: int, m: int) -> Verdict:
     """delta_m for z^d + c: one segment of slope m (d-1) / d."""
-    np_ = NewtonPolygon.of(multiplier_poly(Family("unicritical", d), m).delta)
     dm = dynatomic_degree(d, m)
-    want = ((0, -(d - 1) * dm // d), (dm // m, 0))
-    ok = np_.zero_order == 0 and np_.vertices == want
-    return Verdict(check="delta-polygon-single-slope",
-                   params={"d": d, "m": m},
-                   passed=ok,
-                   residual=None if ok else "vertices %s" % (np_.vertices,))
+    return _segment_claim("delta-polygon-single-slope", {"d": d, "m": m},
+                          multiplier_poly(Family("unicritical", d), m).delta,
+                          ((0, -(d - 1) * dm // d), (dm // m, 0)))
 
 
 def resultant_polygon_check(d: int, k: int, m: int) -> Verdict:
     """Res_z(f^k - z, x - (f^m)') for z^d + c: one segment of slope
     m (d-1) / d in x."""
     res = fixed_point_resultant(Family("unicritical", d), k, m)
-    np_ = NewtonPolygon.of(res)
-    want = ((0, -m * (d - 1) * d ** (k - 1)), (d ** k, 0))
-    ok = np_.zero_order == 0 and np_.vertices == want
-    return Verdict(check="resultant-polygon-single-slope",
-                   params={"d": d, "k": k, "m": m},
-                   passed=ok,
-                   residual=None if ok else "vertices %s" % (np_.vertices,))
+    return _segment_claim("resultant-polygon-single-slope",
+                          {"d": d, "k": k, "m": m}, res,
+                          ((0, -m * (d - 1) * d ** (k - 1)), (d ** k, 0)))
 
 
 def orbit_slope_bound_check(d: int, k: int) -> list[Verdict]:
@@ -68,13 +64,11 @@ def orbit_slope_bound_check(d: int, k: int) -> list[Verdict]:
     out = []
     for name, poly in (("iterate", iterate(fam, k)),
                        ("orbit-product", _orbit_product(d, k) - 1)):
-        np_ = NewtonPolygon.of(poly)
-        ms = np_.max_slope
-        ok = ms is not None and ms <= 1
-        out.append(Verdict(check="orbit-slope-bound",
-                           params={"d": d, "k": k, "poly": name},
-                           passed=ok,
-                           residual=None if ok else "max slope %s" % ms))
+        ms = NewtonPolygon.of(poly).max_slope
+        out.append(Verdict.claim("orbit-slope-bound",
+                                 {"d": d, "k": k, "poly": name},
+                                 None if ms is not None and ms <= 1
+                                 else "max slope %s" % ms))
     return out
 
 
@@ -91,12 +85,10 @@ def linear_resultant_polygon_check(d: int, k: int) -> list[Verdict]:
     h = _linear_factor(d)
     G = charpoly_interp(F_k, h, degc_bound=orbit_degc_bound(F_k, h, 1))
     np_ = NewtonPolygon.of(G)
-    slope = np_.single_slope()
-    v1 = Verdict(check="linear-resultant-polygon-slope",
-                 params={"d": d, "k": k},
-                 passed=slope == 1,
-                 residual=None if slope == 1 else
-                 "zero_order %d, slopes %s" % (np_.zero_order, np_.slopes))
+    v1 = Verdict.claim("linear-resultant-polygon-slope", {"d": d, "k": k},
+                       None if np_.single_slope() == 1 else
+                       "zero_order %d, slopes %s"
+                       % (np_.zero_order, np_.slopes))
     v2 = Verdict.identity("linear-resultant-constant-term", {"d": d, "k": k},
                           G.coeff(0),
                           _cleared_rational_eval(F_k, IntPoly((0, d), "c"),

@@ -22,13 +22,28 @@ class Verdict:
     witness: dict[str, Any] | None = None
 
     @classmethod
+    def claim(cls, check: str, params: dict[str, Any],
+              residual: str | None = None,
+              witness: dict[str, Any] | None = None) -> "Verdict":
+        """The verdict on a claim that holds exactly when nothing is
+        left to show against it, i.e. when residual is None.
+
+        >>> Verdict.claim("demo", {"n": 1}).passed
+        True
+        >>> v = Verdict.claim("demo", {"n": 1}, "off by 2", {"sign": -1})
+        >>> v.passed, v.residual, v.witness
+        (False, 'off by 2', {'sign': -1})
+        """
+        return cls(check=check, params=params, passed=residual is None,
+                   residual=residual, witness=witness)
+
+    @classmethod
     def identity(cls, check: str, params: dict[str, Any], lhs,
                  rhs) -> "Verdict":
         """The verdict on the exact identity lhs == rhs; on failure the
         residual is the difference lhs - rhs."""
-        ok = lhs == rhs
-        return cls(check=check, params=params, passed=ok,
-                   residual=None if ok else str(lhs - rhs))
+        return cls.claim(check, params,
+                         None if lhs == rhs else str(lhs - rhs))
 
     def line(self) -> str:
         tag = "pass" if self.passed else "FAIL"
@@ -50,14 +65,7 @@ class Report:
         return all(v.passed for v in self.verdicts)
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "verdicts": [dataclasses.asdict(v) for v in self.verdicts],
-            "artifacts": list(self.artifacts),
-            "wall_clock": self.wall_clock,
-        }
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        return json.dumps(dataclasses.asdict(self), indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Report":

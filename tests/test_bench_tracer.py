@@ -21,6 +21,9 @@ def test_tracer_install_and_uninstall():
     fams = mods["families"]
     BiPoly = mods["polycore"].BiPoly
     exact_div = BiPoly.__dict__["exact_div"]
+    # Warm the iterate cache first: a cold iterate(fam, 1) recurses to
+    # iterate(fam, 0) through the traced name and would count twice.
+    fams.iterate(fams.Family("unicritical", 2), 1)
     tracer = tracing.Tracer()
     tracer.install()
     try:

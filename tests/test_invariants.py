@@ -203,6 +203,43 @@ def test_power_support_checks_off_node_values(monkeypatch):
     assert verdict.residual == "differs from the charpoly at c = [-1, -2]"
 
 
+def test_leading_size_checks_take_either_sign(monkeypatch):
+    # aux-leading-size and quadcrit-delta-leading-coefficient claim only
+    # the size of the leading coefficient: a sign flip passes and is
+    # recorded, a wrong size fails.
+    real = aux_shifted(2, 1, 2)
+    for scalar, ok in ((-1, True), (2, False)):
+        monkeypatch.setattr(invariants, "aux_shifted", lambda d, k, m:
+                            dataclasses.replace(real, R=real.R * scalar))
+        verdict = aux_shifted_leading_check(2, 1, 2)
+        assert verdict.passed is ok
+        assert verdict.witness == {"sign": -1 if scalar < 0 else 1}
+    fam = Family("quadcrit", 2)
+    delta = delta_nm(fam, 3, 1)
+    for scalar, ok in ((-1, True), (3, False)):
+        monkeypatch.setattr(invariants, "delta_nm",
+                            lambda fam, n, m: delta * scalar)
+        assert quadcrit_lt_check(2, 3).passed is ok
+
+
+def test_signed_leading_checks_fail_on_corruption(monkeypatch):
+    # R_{k,m} has a pinned sign, so -R fails.
+    real = aux_nonunicritical(2, 1, 2)
+    monkeypatch.setattr(invariants, "aux_nonunicritical", lambda d, k, m:
+                        dataclasses.replace(real, R=-real.R))
+    verdict = aux_leading_term_check(2, 1, 2)
+    assert not verdict.passed and "constant term leading" in verdict.residual
+    # c^3 x puts the top c-degree of delta_3 into the x^1 coefficient.
+    fam = Family("unicritical", 2)
+    res = multiplier_poly(fam, 3)
+    bad = dataclasses.replace(
+        res, delta=res.delta + BiPoly.cgen("x") ** 3 * BiPoly.gen("x"))
+    monkeypatch.setattr(invariants, "multiplier_poly", lambda fam, m: bad)
+    verdict = unicritical_delta_lt_check(fam, 3)
+    assert not verdict.passed
+    assert verdict.residual == "x^1 coefficient reaches c-degree 3"
+
+
 def test_delta_aux_product():
     for kind in ("linearterm", "shifted"):
         for d, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):

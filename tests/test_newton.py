@@ -1,7 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from dynres import newton
+from dynres.families import Family, multiplier_poly
 from dynres.newton import (
     NewtonPolygon,
     delta_polygon_check,
@@ -102,3 +105,14 @@ def test_polygon_export():
         "zero_order": 0, "vertices": [[0, -2], [4, 0]]}
     shifted = polygon_export(1, 2, kind="shifted")
     assert sorted(shifted) == ["shifted-d=1-iterate-1", "shifted-d=1-iterate-2"]
+
+
+def test_delta_polygon_fails_on_corruption(monkeypatch):
+    # c^3 x lifts the x^1 point of delta_3 for z^2 + c onto the line
+    # c-degree 3, so the polygon gains a vertex.
+    res = multiplier_poly(Family("unicritical", 2), 3)
+    bad = dataclasses.replace(res, delta=res.delta + C ** 3 * X)
+    monkeypatch.setattr(newton, "multiplier_poly", lambda fam, m: bad)
+    verdict = delta_polygon_check(2, 3)
+    assert not verdict.passed
+    assert verdict.residual.startswith("vertices ")
