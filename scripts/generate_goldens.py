@@ -33,14 +33,9 @@ from dynres.serialize import decode_json  # noqa: E402
 
 GOLDEN = ROOT / "src" / "dynres" / "golden"
 
-SLOW_SECONDS = 5.0
-
 
 def golden(name: str, meta: dict, canonical: str, elapsed: float) -> tuple:
     """(file name, file text) of one golden; prints its timing."""
-    meta = dict(meta)
-    if elapsed > SLOW_SECONDS:
-        meta["slow"] = True
     payload = {"meta": meta, "canonical": canonical}
     print("%-24s %6.2fs" % (name, elapsed))
     return name, json.dumps(payload, indent=2, sort_keys=True) + "\n"

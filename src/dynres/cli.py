@@ -104,12 +104,12 @@ def cmd_polygon(args: argparse.Namespace) -> int:
 # verify
 
 
-def _suite_integrality(quick: bool) -> list[Verdict]:
-    plan = [("unicritical", 2, 3 if quick else 4),
-            ("unicritical", 3, 2 if quick else 3),
-            ("linearterm", 1, 3 if quick else 4),
-            ("linearterm", 2, 2 if quick else 3),
-            ("shifted", 1, 2 if quick else 3),
+def _suite_integrality() -> list[Verdict]:
+    plan = [("unicritical", 2, 4),
+            ("unicritical", 3, 3),
+            ("linearterm", 1, 4),
+            ("linearterm", 2, 3),
+            ("shifted", 1, 3),
             ("shifted", 2, 2)]
     out = []
     for kind, d, m_max in plan:
@@ -120,10 +120,10 @@ def _suite_integrality(quick: bool) -> list[Verdict]:
     return out
 
 
-def _suite_rescaled_monic(quick: bool) -> list[Verdict]:
+def _suite_rescaled_monic() -> list[Verdict]:
     out = []
     fam = Family("unicritical", 2)
-    for n in range(1, 5 if quick else 7):
+    for n in range(1, 7):
         for m in divisors(n):
             out.append(inv.psi_monicness_check(fam, n, m))
     fam = Family("unicritical", 3)
@@ -133,98 +133,89 @@ def _suite_rescaled_monic(quick: bool) -> list[Verdict]:
     return out
 
 
-def _suite_cyclotomic_units(quick: bool) -> list[Verdict]:
+def _suite_cyclotomic_units() -> list[Verdict]:
     fam = Family("unicritical", 2)
     out = []
-    for n in range(2, 5 if quick else 7):
+    for n in range(2, 7):
         for m in divisors(n):
             if m < n:
                 out.append(inv.morton_vivaldi_check(fam, n, m))
     return out
 
 
-def _suite_degrees(quick: bool) -> list[Verdict]:
+def _suite_degrees() -> list[Verdict]:
     fam = Family("unicritical", 2)
     out = []
-    for n in range(1, 5 if quick else 7):
+    for n in range(1, 7):
         out.extend(inv.degree_formula_check(fam, n))
     return out
 
 
-def _suite_leading_terms(quick: bool) -> list[Verdict]:
+def _suite_leading_terms() -> list[Verdict]:
     out = []
     for d in (2, 3):
         fam = Family("unicritical", d)
         for k in (1, 2):
             for m in (1, 2):
                 out.append(inv.unicritical_res_lt_check(fam, k, m))
-        for m in range(1, 3 if quick else 4):
+        for m in range(1, 4):
             out.append(inv.unicritical_delta_lt_check(fam, m))
     for d in (1, 2):
         for k, m in ((1, 1), (1, 2), (2, 2)):
             out.append(inv.aux_leading_term_check(d, k, m))
             out.append(inv.aux_shifted_leading_check(d, k, m))
         out.extend(inv.cleared_eval_lt_check(d, 2))
-    for d in (1, 2) if quick else (1, 2, 3):
-        for n in range(2, 5 if quick else 7):
+    for d in (1, 2, 3):
+        for n in range(2, 7):
             out.append(inv.quadcrit_lt_check(d, n))
         out.append(inv.quadcrit_closed_form_check(d))
-    for n in (2, 3, 5, 7) if quick else (2, 3, 5, 6, 7):
+    for n in (2, 3, 5, 6, 7):
         out.append(inv.cyclotomic_prime_check(n))
     return out
 
 
-def _suite_structure(quick: bool) -> list[Verdict]:
+def _suite_structure() -> list[Verdict]:
     out = [conjugacy_check(2), conjugacy_check(3)]
-    pairs = ((1, 1), (1, 2), (2, 2)) if quick else ((1, 1), (1, 2), (2, 2),
-                                                    (1, 3), (3, 3))
     for d in (1, 2):
-        for k, m in pairs:
+        for k, m in ((1, 1), (1, 2), (2, 2), (1, 3), (3, 3)):
             out.extend(inv.linearterm_structure_checks(d, k, m))
             out.extend(inv.shifted_structure_checks(d, k, m))
-        for m in (1, 2) if quick else (1, 2, 3):
+        for m in (1, 2, 3):
             out.append(inv.delta_aux_product_check("linearterm", d, m))
             out.append(inv.delta_aux_product_check("shifted", d, m))
-        aux_pairs = ((1, 2), (2, 2)) if quick else ((1, 2), (2, 2),
-                                                    (1, 3), (3, 3))
-        for k, m in aux_pairs:
+        for k, m in ((1, 2), (2, 2), (1, 3), (3, 3)):
             out.append(inv.aux_integrality_check("linearterm", d, k, m))
             out.append(inv.aux_integrality_check("shifted", d, k, m))
     fam = Family("unicritical", 2)
     for k, m in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 4), (2, 6), (3, 3)):
-        if quick and m > 4:
-            continue
         out.append(inv.dynatomic_equality_check(fam, k, m))
     out.append(inv.coprime_product_check(fam, 2, 3))
     out.append(inv.coprime_product_check(fam, 3, 2))
     return out
 
 
-def _suite_newton(quick: bool) -> list[Verdict]:
+def _suite_newton() -> list[Verdict]:
     out = []
-    for d, k_max in ((2, 3 if quick else 5), (3, 3)):
+    for d, k_max in ((2, 5), (3, 3)):
         for k in range(1, k_max + 1):
             out.append(newton.iterate_polygon_check(d, k))
-    for d, m_max in ((2, 3 if quick else 4), (3, 2 if quick else 3)):
+    for d, m_max in ((2, 4), (3, 3)):
         for m in range(1, m_max + 1):
             out.append(newton.delta_polygon_check(d, m))
     for k, m in ((1, 1), (1, 2), (2, 2), (2, 4)):
-        if quick and m > 2:
-            continue
         out.append(newton.resultant_polygon_check(2, k, m))
     for d in (1, 2):
-        for k in range(1, 3 if quick else 4):
+        for k in range(1, 4):
             out.extend(newton.orbit_slope_bound_check(d, k))
             out.extend(newton.linear_resultant_polygon_check(d, k))
     return out
 
 
-def _suite_dual_route(quick: bool) -> list[Verdict]:
+def _suite_dual_route() -> list[Verdict]:
     plan = [("unicritical", 2, 3), ("linearterm", 1, 3),
-            ("shifted", 1, 2), ("quadcrit", 1, 2)]
-    if not quick:
-        plan += [("unicritical", 3, 2), ("linearterm", 2, 2),
-                 ("shifted", 2, 2), ("quadcrit", 2, 2)]
+            ("shifted", 1, 2), ("quadcrit", 1, 2),
+            ("unicritical", 3, 2), ("linearterm", 2, 2),
+            ("shifted", 2, 2), ("quadcrit", 2, 2)]
     out = []
     for kind, d, m_max in plan:
         fam = Family(kind, d)
@@ -251,7 +242,7 @@ def golden_recompute(meta: dict) -> str:
     raise ValueError("unknown golden object %r" % kind)
 
 
-def _suite_goldens(quick: bool) -> list[Verdict]:
+def _suite_goldens() -> list[Verdict]:
     from importlib import resources
 
     out = []
@@ -259,8 +250,6 @@ def _suite_goldens(quick: bool) -> list[Verdict]:
     names = sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))
     for name in names:
         data = json.loads((root / name).read_text())
-        if quick and data["meta"].get("slow"):
-            continue
         same = golden_recompute(data["meta"]) == data["canonical"]
         out.append(Verdict.claim("golden-recompute", {"file": name},
                                  None if same else "canonical text differs"))
@@ -286,7 +275,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     clocks = {}
     for name in names:
         t0 = time.perf_counter()
-        batch = SUITES[name](args.quick)
+        batch = SUITES[name]()
         clocks[name] = round(time.perf_counter() - t0, 3)
         for v in batch:
             print(v.line())
@@ -295,7 +284,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print("%d checks, %d failed" % (len(verdicts), len(failed)))
     if args.report is not None:
         rep = Report(command="verify",
-                     parameters={"suite": args.suite, "quick": args.quick},
+                     parameters={"suite": args.suite},
                      verdicts=verdicts, artifacts=[], wall_clock=clocks)
         _write_or_print(rep.to_json(), args.report)
     return 1 if failed else 0
@@ -317,13 +306,15 @@ def _fraction(text: str) -> Fraction:
 def cmd_parabolic(args: argparse.Namespace) -> int:
     fam = Family("unicritical", args.d)
     if args.logistic is not None:
+        if args.d != 2:
+            raise ValueError("--logistic maps onto z^2 + c, not --d %d"
+                             % args.d)
         rows = [classify_logistic(_fraction(args.logistic),
-                                  m_max=args.m_max, j_max=args.j_max)]
+                                  m_max=args.m_max)]
     elif args.c is not None:
-        rows = [classify(fam, _fraction(args.c),
-                         m_max=args.m_max, j_max=args.j_max)]
+        rows = [classify(fam, _fraction(args.c), m_max=args.m_max)]
     else:
-        rows = [classify(fam, c, m_max=args.m_max, j_max=args.j_max)
+        rows = [classify(fam, c, m_max=args.m_max)
                 for c in enumerate_candidates(args.d)]
     for row in rows:
         print(row.line())
@@ -349,10 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=KINDS, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, default=1, help="cycle length")
-    p.add_argument("--rescaled", action="store_true",
-                   help="rewrite in the family's rescaled variable")
-    p.add_argument("--resultant", type=int, metavar="N",
-                   help="emit Res_x(cyc_N, delta_m) instead of delta_m")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--rescaled", action="store_true",
+                       help="rewrite in the family's rescaled variable")
+    shape.add_argument("--resultant", type=int, metavar="N",
+                       help="emit Res_x(cyc_N, delta_m) instead of delta_m")
     p.add_argument("--format", choices=("json", "csv", "both"),
                    default="json")
     p.add_argument("--out", help="output path stem (default: stdout)")
@@ -369,21 +361,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity check suites")
     p.add_argument("--suite", choices=sorted(SUITES) + ["all"],
                    default="all")
-    p.add_argument("--quick", action="store_true",
-                   help="smaller ranges, for a fast smoke run")
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("parabolic",
                        help="classify rational parameters of z^d + c")
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--c", help="one parameter, as p/q "
-                               "(write --c=-3/4 for negative values)")
-    p.add_argument("--logistic",
-                   help="a parameter of the a z (1 - z) iteration, mapped "
-                        "onto z^2 + c before classifying")
+    param = p.add_mutually_exclusive_group()
+    param.add_argument("--c", help="one parameter, as p/q "
+                                   "(write --c=-3/4 for negative values)")
+    param.add_argument("--logistic",
+                       help="a parameter of the a z (1 - z) iteration, "
+                            "mapped onto z^2 + c before classifying")
     p.add_argument("--m-max", type=int, default=6)
-    p.add_argument("--j-max", type=int, default=12)
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_parabolic)
 

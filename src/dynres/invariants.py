@@ -165,8 +165,7 @@ def _rescale_params(fam: Family) -> tuple[int, int]:
     return c_stride(fam), d if fam.kind == "linearterm" else d ** d
 
 
-def _extract_intpoly(p: IntPoly, stride: int, unit: int,
-                     newvar: str) -> IntPoly:
+def _extract_intpoly(p: IntPoly, stride: int, unit: int) -> IntPoly:
     out: dict[int, int] = {}
     for e, a in enumerate(p.coeffs):
         if a == 0:
@@ -182,14 +181,14 @@ def _extract_intpoly(p: IntPoly, stride: int, unit: int,
                 % (a, e, unit, j))
         out[j] = q
     if not out:
-        return IntPoly((), newvar)
+        return IntPoly((), "C")
     coeffs = [0] * (max(out) + 1)
     for j, a in out.items():
         coeffs[j] = a
-    return IntPoly(coeffs, newvar)
+    return IntPoly(coeffs, "C")
 
 
-def rescale_extract(obj, fam: Family, newvar: str = "C"):
+def rescale_extract(obj, fam: Family):
     """Rewrite in the family's rescaled variable, or raise NotInSubring.
 
     Accepts an IntPoly in c or a BiPoly in x over Z[c].  Returns a pair
@@ -201,11 +200,11 @@ def rescale_extract(obj, fam: Family, newvar: str = "C"):
     if stride == 1 and unit == 1:
         psi = obj
     elif isinstance(obj, IntPoly):
-        psi = _extract_intpoly(obj, stride, unit, newvar)
+        psi = _extract_intpoly(obj, stride, unit)
     elif isinstance(obj, BiPoly):
         psi = BiPoly(
-            [_extract_intpoly(a, stride, unit, newvar) for a in obj.coeffs],
-            obj.main_var, newvar,
+            [_extract_intpoly(a, stride, unit) for a in obj.coeffs],
+            obj.main_var, "C",
         )
     else:
         raise ValueError("rescale_extract expects IntPoly or BiPoly")

@@ -74,10 +74,11 @@ def enumerate_candidates(d: int) -> list[Fraction]:
     The denominator must satisfy q^(d-1) | d^d, and the numerator the
     escape bound |c|^(d-1) <= 2 (for d = 2 also c <= 1/4).  Everything
     else is certified to have no non-repelling cycle, so only these
-    need classification.
+    need classification.  The divisibility implies q^(d-1) <= d^d, so
+    q <= d^(d/(d-1)) <= d^2 bounds the scan of denominators.
     """
     fam = Family("unicritical", d)
-    qs = [q for q in range(1, d ** d + 1) if d ** d % q ** (d - 1) == 0]
+    qs = [q for q in range(1, d * d + 1) if d ** d % q ** (d - 1) == 0]
     out = set()
     for q in qs:
         # |p| / q <= 2^(1/(d-1)) exactly: p^(d-1) <= 2 q^(d-1)
@@ -97,24 +98,23 @@ def enumerate_candidates(d: int) -> list[Fraction]:
 # exact critical orbit
 
 
-def critical_orbit_certificate(fam: Family, c: Fraction,
-                               max_steps: int = 32,
-                               height_cap: int = 10 ** 9):
+def critical_orbit_certificate(fam: Family, c: Fraction):
     """(preperiod, period) when the rational orbit of 0 closes up.
 
-    Returns None when the orbit neither repeats nor is cut off by the
-    height cap within max_steps.  A period with preperiod 0 means the
-    critical point itself is periodic (a superattracting cycle); a
-    positive preperiod certifies that every cycle is repelling.
+    Returns None when the orbit does not repeat within 32 steps or
+    first passes the naive height 10**9.  A period with preperiod 0
+    means the critical point itself is periodic (a superattracting
+    cycle); a positive preperiod certifies that every cycle is
+    repelling.
     """
     if fam.kind != "unicritical":
         raise ValueError("stated for the unicritical family")
     c = Fraction(c)
     seen = {Fraction(0): 0}
     z = Fraction(0)
-    for step in range(1, max_steps + 1):
+    for step in range(1, 33):
         z = z ** fam.d + c
-        if naive_height(z) > height_cap:
+        if naive_height(z) > 10 ** 9:
             return None
         if z in seen:
             pre = seen[z]
@@ -180,10 +180,10 @@ def sturm_count(p: list[Fraction], a: Fraction, b: Fraction) -> int:
     return variations(a) - variations(b)
 
 
-def _bisect_root_interval(p: list[Fraction], a: Fraction, b: Fraction,
-                          width: Fraction = Fraction(1, 64)):
-    """Narrow (a, b] to a short subinterval still holding a root."""
-    while b - a > width:
+def _bisect_root_interval(p: list[Fraction], a: Fraction, b: Fraction):
+    """Narrow (a, b] to a subinterval of width at most 1/64 still
+    holding a root."""
+    while b - a > Fraction(1, 64):
         mid = (a + b) / 2
         if sturm_count(p, a, mid) > 0:
             b = mid
@@ -237,7 +237,8 @@ def classify(fam: Family, c: Fraction, m_max: int = 6,
              j_max: int = 12) -> Classification:
     """Decide the cycle type of a rational parameter.
 
-    Tests periods m <= m_max and root-of-unity orders j <= j_max; a
+    Tests periods m <= m_max and root-of-unity orders j <= j_max (for
+    rational c a parabolic cycle is real, so only j <= 2 can fire); a
     clean miss is reported as repelling-all-tested when a preperiodic
     critical orbit certifies it, and unresolved otherwise.  This is
     where the degree guardrail applies to classification: before each
@@ -324,9 +325,7 @@ def logistic_bridge(a: Fraction) -> Fraction:
     return (2 * a - a * a) / 4
 
 
-def classify_logistic(a: Fraction, m_max: int = 6,
-                      j_max: int = 12) -> Classification:
-    out = classify(Family("unicritical", 2), logistic_bridge(a),
-                   m_max=m_max, j_max=j_max)
+def classify_logistic(a: Fraction, m_max: int = 6) -> Classification:
+    out = classify(Family("unicritical", 2), logistic_bridge(a), m_max=m_max)
     out.notes.append("logistic parameter a = %s" % Fraction(a))
     return out

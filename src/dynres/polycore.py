@@ -221,18 +221,6 @@ class IntPoly(_Dense):
                 "leading coefficient %d not divisible by %d" % (a, b))
         return q
 
-    def divexact_scalar(self, n: int) -> "IntPoly":
-        """Divide every coefficient by the integer n, exactly."""
-        if n == 0:
-            raise ZeroPolynomial("scalar division by zero")
-        out = []
-        for a in self.coeffs:
-            c, r = divmod(a, n)
-            if r:
-                raise DivisionNotExact("coefficient %d not divisible by %d" % (a, n))
-            out.append(c)
-        return IntPoly(out, self.var)
-
     def __call__(self, value: Union[int, Fraction]):
         """Evaluate by Horner's rule at an integer or Fraction."""
         return _horner(self.coeffs, value, 0)
@@ -410,11 +398,12 @@ def nth_root(p: BiPoly, n: int) -> BiPoly:
         raise NotPerfectPower("degree %d is not divisible by %d" % (deg, n))
     k = deg // n
     coeffs = [IntPoly((), p.cvar)] * k + [IntPoly.const(1, p.cvar)]
+    scalar = IntPoly.const(n, p.cvar)
     for j in range(1, k + 1):
         have = BiPoly(coeffs, p.main_var, p.cvar) ** n
         try:
             coeffs[k - j] = (p.coeff(n * k - j)
-                             - have.coeff(n * k - j)).divexact_scalar(n)
+                             - have.coeff(n * k - j)).exact_div(scalar)
         except DivisionNotExact as exc:
             raise NotPerfectPower("coefficient match fails: %s" % exc) from exc
     root = BiPoly(coeffs, p.main_var, p.cvar)

@@ -88,10 +88,9 @@ def det_intpoly(rows: list[list[IntPoly]], cvar: str = "c") -> IntPoly:
     return bareiss_det(rows, zero, one)
 
 
-def det_bipoly(rows: list[list[BiPoly]], main_var: str = "x",
-               cvar: str = "c") -> BiPoly:
-    zero = BiPoly((), main_var, cvar)
-    one = BiPoly.const(1, main_var, cvar)
+def det_bipoly(rows: list[list[BiPoly]], cvar: str = "c") -> BiPoly:
+    zero = BiPoly((), "x", cvar)
+    one = BiPoly.const(1, "x", cvar)
     return bareiss_det(rows, zero, one)
 
 
@@ -220,7 +219,7 @@ def charpoly_sylvester(F: BiPoly, G: BiPoly) -> BiPoly:
     hc = [-lift(G.coeff(i)) for i in range(m + 1)]
     hc[0] = hc[0] + BiPoly((0, 1), "x", cvar)
     rows = _sylvester_rows(fc, hc, zero)
-    return det_bipoly(rows, "x", cvar)
+    return det_bipoly(rows, cvar)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-from dynres.cli import main
+from dynres.cli import build_parser, main
 from dynres.parabolic import enumerate_candidates
 from dynres.report import Report
 
@@ -79,15 +80,14 @@ def test_polygon(capsys):
 
 def test_verify_suite(tmp_path, capsys):
     report = str(tmp_path / "report.json")
-    rc = main(["verify", "--suite", "degrees", "--quick",
-               "--report", report])
+    rc = main(["verify", "--suite", "degrees", "--report", report])
     assert rc == 0
     out = capsys.readouterr().out
     assert ", 0 failed" in out
     assert out.count("pass") >= 4
     rep = Report.from_json((tmp_path / "report.json").read_text())
     assert rep.all_passed
-    assert rep.parameters == {"suite": "degrees", "quick": True}
+    assert rep.parameters == {"suite": "degrees"}
 
 
 def test_verify_goldens(capsys):
@@ -149,7 +149,7 @@ def test_parabolic_linearterm_needs_c(capsys):
     ["parabolic", "--c", "1/0"],
     ["parabolic", "--c", "abc"],
     ["parabolic", "--d", "1"],
-    ["parabolic", "--c", "1/4", "--j-max", "0"],
+    ["parabolic", "--d", "3", "--logistic", "3"],
     ["parabolic", "--m-max", "0"],
     ["polygon", "--d", "0"],
     ["polygon", "--d", "2", "--k-max", "0"],
@@ -167,7 +167,7 @@ def test_bad_parameter_is_usage_error(argv, capsys):
 def test_unwritable_report_is_usage_error(tmp_path, capsys):
     # every check passes; exit 1 would claim a failed check
     path = str(tmp_path / "missing" / "r.json")
-    rc = main(["verify", "--suite", "degrees", "--quick", "--report", path])
+    rc = main(["verify", "--suite", "degrees", "--report", path])
     assert rc == 2
     captured = capsys.readouterr()
     assert ", 0 failed" in captured.out
@@ -195,12 +195,41 @@ def test_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--quick"],
+    ["parabolic", "--j-max", "3"],
+    ["parabolic", "--c", "1/4", "--logistic", "3"],
+    ["table", "--family", "unicritical", "--d", "2", "--rescaled",
+     "--resultant", "2"],
+])
+def test_removed_flag_or_conflicting_pair_is_rejected(argv, capsys):
+    # neither is silently ignored: argparse rejects both with exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # a flag removed from the parser cannot outlive its documentation
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        lines = [l for l in fh.read().splitlines()
+                 if l.startswith("dynres ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
 def test_module_entry_point():
     # python -m dynres runs the same command with src on the path only
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "dynres", "verify", "--quick"],
+    proc = subprocess.run([sys.executable, "-m", "dynres", "verify",
+                           "--suite", "degrees"],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("0 failed")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -71,6 +72,20 @@ def test_enumerate_candidates():
         F(1, 3), F(2, 3), F(1), F(4, 3)]
 
 
+def test_enumerate_candidates_matches_full_scan():
+    # the same filters over every denominator q <= d^d, with |c| <= 2
+    for d in range(2, 7):
+        fam = Family("unicritical", d)
+        brute = sorted(
+            F(p, q) for q in range(1, d ** d + 1)
+            if d ** d % q ** (d - 1) == 0
+            for p in range(-2 * q, 2 * q + 1)
+            if gcd(p, q) == 1 and escape_certificate(fam, F(p, q)) is None)
+        assert enumerate_candidates(d) == brute, d
+    # q^8 | 9^9 leaves q in {1, 3, 9}; a scan up to 9^9 would not finish
+    assert enumerate_candidates(9) == [F(k, 9) for k in range(-9, 10)]
+
+
 def test_critical_orbit():
     assert critical_orbit_certificate(FAM2, F(0)) == (0, 1)
     assert critical_orbit_certificate(FAM2, F(-1)) == (0, 2)
@@ -117,6 +132,13 @@ def test_classify_escape():
     assert classify(FAM2, F(3)).witness["certificate"] == "modulus-growth"
     with pytest.raises(ValueError):
         classify(Family("shifted", 1), F(0))
+
+
+def test_classify_needs_cyc_1():
+    # the Sturm count on (-1, 1] relies on cyc_1 catching multiplier 1,
+    # so without it 1/4 would read as attracting
+    with pytest.raises(ValueError):
+        classify(FAM2, F(1, 4), j_max=0)
 
 
 def test_logistic_bridge():

@@ -31,9 +31,10 @@ def test_intpoly_division():
     assert p.exact_div(IntPoly([1, 1], "c")).coeffs == (1, 1)
     with pytest.raises(DivisionNotExact):
         IntPoly([1, 0, 1], "c").exact_div(IntPoly([1, 1], "c"))
-    assert IntPoly([2, 4], "c").divexact_scalar(2).coeffs == (1, 2)
+    assert IntPoly([2, 4], "c").exact_div(IntPoly.const(2, "c")).coeffs \
+        == (1, 2)
     with pytest.raises(DivisionNotExact):
-        IntPoly([1, 2], "c").divexact_scalar(2)
+        IntPoly([1, 2], "c").exact_div(IntPoly.const(2, "c"))
 
 
 def test_intpoly_shift_derivative():
