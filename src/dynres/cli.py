@@ -285,7 +285,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.report is not None:
         rep = Report(command="verify",
                      parameters={"suite": args.suite},
-                     verdicts=verdicts, artifacts=[], wall_clock=clocks)
+                     verdicts=verdicts, wall_clock=clocks)
         _write_or_print(rep.to_json(), args.report)
     return 1 if failed else 0
 

@@ -57,7 +57,6 @@ class Report:
     command: str
     parameters: dict[str, Any]
     verdicts: list[Verdict]
-    artifacts: list[str]
     wall_clock: dict[str, float]
 
     @property
@@ -75,6 +74,5 @@ class Report:
             command=data["command"],
             parameters=data["parameters"],
             verdicts=verdicts,
-            artifacts=data["artifacts"],
             wall_clock=data["wall_clock"],
         )

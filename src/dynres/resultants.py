@@ -8,8 +8,12 @@ ring modulo F at each node, and reassemble by exact Newton
 interpolation.  When the caller proves that the result lies in
 Z[x][c^s], by a symmetry c -> zeta c with zeta^s = 1, the interpolation
 runs in C = c^s at the points 0, 1, 2^s, ..., and about 1/s as many
-nodes are needed.  Per node, ``charpoly_int`` forms exact power sums of
-the roots of F, the traces of G^k modulo F, and Newton's identities; no
+nodes are needed.  Per node, ``charpoly_int`` builds the n columns of
+the matrix M of multiplication by G on Z[z]/(F), n = deg F, each one z
+times the previous one reduced modulo F.  The traces of G^k are then
+read off the transposed recurrence u <- M^T u, started from the power
+sums of the roots of F: each step is n dot products, and the k-th trace
+is u[0].  Newton's identities turn the traces into the coefficients; no
 fractions appear, and every division is by a small integer and checked.
 When the resultant is known to be an m-th power, as
 Res_z(Phi*_m, x - (f^m)') = delta_m^m is, the root index m returns the
@@ -35,10 +39,12 @@ them.
 """
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import (BoundTooSmall, DivisionNotExact, NotPerfectPower,
                      ZeroPolynomial)
-from .polycore import (BiPoly, IntPoly, NewtonPolygon, _polymul,
-                       _polyrem_monic, interpolate_intpolys)
+from .polycore import (BiPoly, IntPoly, NewtonPolygon, _polyrem_monic,
+                       interpolate_intpolys)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +130,31 @@ def _powersums_of_roots(fc: list[int]) -> list[int]:
     n = len(fc) - 1
     t = [n]
     for k in range(1, n):
-        acc = fc[n - k] * k
-        for i in range(1, k):
-            acc += fc[n - i] * t[k - i]
-        t.append(-acc)
+        t.append(-k * fc[n - k] - sum(map(mul, fc[n - k + 1:n], t[1:k])))
     return t
+
+
+def _multiplication_columns(gc: list[int], fc: list[int]) -> list[list[int]]:
+    """The n columns z^j g mod F, j < n, of multiplication by
+    g = G mod F on the basis 1, z, ..., z^(n-1) of Z[z]/(F), for monic F
+    of degree n.
+
+    Each column is z times the previous one: a shift up, and when the
+    coefficient shifted out is nonzero, the subtraction of that multiple
+    of F's low coefficients.
+    """
+    n = len(fc) - 1
+    low = fc[:n]
+    col = _polyrem_monic(gc, fc)
+    col += [0] * (n - len(col))
+    cols = [col]
+    for _ in range(n - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [a - top * b for a, b in zip(col, low)]
+        cols.append(col)
+    return cols
 
 
 def charpoly_int(fc: list[int], gc: list[int], m: int = 1) -> IntPoly:
@@ -139,10 +165,16 @@ def charpoly_int(fc: list[int], gc: list[int], m: int = 1) -> IntPoly:
     the formal z-degree of G, which for monic F is independent of that
     degree.  For m > 1 the caller asserts that every value G(alpha)
     occurs a multiple of m times, as the multiplier does on the points
-    of an exact m-cycle.  Only the first deg F / m traces of G^k modulo
-    F are formed, and each must be divisible by m exactly; a remainder
-    raises DivisionNotExact, and a degree not divisible by m raises
-    NotPerfectPower.
+    of an exact m-cycle.
+
+    With M the matrix of multiplication by G on Z[z]/(F) and t the power
+    sums of the roots of F, the trace of G^k is t . M^k e_0.  The
+    recurrence runs transposed, u <- M^T u from u = t, so each step is
+    n dot products of u with the columns of M and the k-th trace is
+    u[0].  Only the first deg F / m traces are formed, and each must be
+    divisible by m exactly; a remainder raises DivisionNotExact, and a
+    degree not divisible by m raises NotPerfectPower.  Newton's
+    identities then give the coefficients, each division checked.
     """
     if not fc or fc[-1] != 1:
         raise ValueError("charpoly_int needs a monic F")
@@ -154,30 +186,28 @@ def charpoly_int(fc: list[int], gc: list[int], m: int = 1) -> IntPoly:
     deg = n // m
     if deg == 0:
         return IntPoly((1,), "x")
-    t = _powersums_of_roots(fc)
-    g = _polyrem_monic(gc, fc)
+    cols = _multiplication_columns(gc, fc)
+    u = _powersums_of_roots(fc)
+    traces = []
+    for _ in range(deg - 1):
+        u = [sum(map(mul, u, col)) for col in cols]
+        traces.append(u[0])
+    # The last trace needs only the first entry of M^T u.
+    traces.append(sum(map(mul, u, cols[0])))
     p = []
-    power = [1]
-    for _ in range(deg):
-        power = _polyrem_monic(_polymul(power, g), fc)
-        q, r = divmod(sum(power[k] * t[k] for k in range(len(power))), m)
+    for trace in traces:
+        q, r = divmod(trace, m)
         if r:
             raise DivisionNotExact("trace not divisible by %d" % m)
         p.append(q)
-    e = [1]
+    # Coefficient a_i of x^(deg - i): i a_i = -(p_1 a_{i-1} + ... + p_i a_0).
+    a = [1]
     for i in range(1, deg + 1):
-        acc = 0
-        for j in range(1, i + 1):
-            term = e[i - j] * p[j - 1]
-            acc = acc + term if j % 2 else acc - term
-        q, r = divmod(acc, i)
+        q, r = divmod(-sum(map(mul, a[::-1], p)), i)
         if r:
             raise DivisionNotExact("Newton identity division failed")
-        e.append(q)
-    coeffs = [0] * (deg + 1)
-    for i in range(deg + 1):
-        coeffs[deg - i] = e[i] if i % 2 == 0 else -e[i]
-    return IntPoly(coeffs, "x")
+        a.append(q)
+    return IntPoly(a[::-1], "x")
 
 
 # ---------------------------------------------------------------------------

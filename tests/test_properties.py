@@ -3,6 +3,7 @@ import random
 
 from dynres.polycore import BiPoly, IntPoly, _polyrem_monic, nth_root
 from dynres.resultants import (
+    charpoly_int,
     charpoly_interp,
     charpoly_sylvester,
     resultant,
@@ -83,3 +84,36 @@ def test_resultant_base_change():
                           bound=4, monic=True)
         lhs = resultant_sylvester(F.compose(phi), G.compose(phi))
         assert lhs == resultant_sylvester(F, G) ** d
+
+
+def spread(coeffs, m):
+    """P(z^m) from the ascending coefficients of P(z)."""
+    out = [0] * (m * (len(coeffs) - 1) + 1) if coeffs else []
+    for i, a in enumerate(coeffs):
+        out[m * i] = a
+    return out
+
+
+def test_charpoly_int_root_index_of_powers():
+    # The roots of H(z^m) are the m-th roots of those of H, so every
+    # value P(z^m) occurs m times: the monic m-th root is charpoly(H, P)
+    rng = random.Random(20240905)
+    for _ in range(200):
+        m = rng.choice((2, 3))
+        h = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [1]
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+        assert charpoly_int(spread(h, m), spread([0, 1], m), m) == IntPoly(h, "x")
+        assert charpoly_int(spread(h, m), spread(p, m), m) == charpoly_int(h, p)
+
+
+def test_charpoly_int_against_sylvester():
+    rng = random.Random(20240906)
+    for _ in range(60):
+        F = random_bipoly(rng, rng.randint(1, 10), rng.randint(0, 2),
+                          bound=5, monic=True)
+        G = random_bipoly(rng, rng.randint(0, 4), rng.randint(0, 2), bound=5)
+        oracle = charpoly_sylvester(F, G)
+        for c0 in (-2, 0, 3):
+            got = charpoly_int(list(F.specialize_c_int(c0).coeffs),
+                               list(G.specialize_c_int(c0).coeffs))
+            assert got == oracle.specialize_c_int(c0)

@@ -94,6 +94,41 @@ def test_charpoly_int_root_index_not_exact():
         charpoly_int([-1, 0, 0, 1], [0, 1], 2)
 
 
+def sylvester_at_node(fc, gc):
+    """The oracle Res_z(F, x - G) for integer coefficient lists."""
+    return charpoly_sylvester(const(*fc), const(*gc)).specialize_c_int(0)
+
+
+def test_charpoly_int_sparse_modulus():
+    # z^n + a: the columns z^j g mod F mostly shift out a zero top
+    # coefficient, and a = 0 leaves a nilpotent z
+    for n in (1, 2, 3, 5, 8):
+        for a in (0, 3, -7):
+            fc = [a] + [0] * (n - 1) + [1]
+            for gc in ([0, 1], [2, 0, -1], [1, 0, 0, 5], [0] * n + [4]):
+                assert charpoly_int(fc, gc) == sylvester_at_node(fc, gc)
+    # z^4 + 2 has roots whose squares are the roots of x^2 + 2, twice
+    assert charpoly_int([2, 0, 0, 0, 1], [0, 0, 1], 2).coeffs == (2, 0, 1)
+
+
+def test_charpoly_int_degenerate_inputs():
+    x = IntPoly.gen("x")
+    fc = [3, -1, 0, 2, 1]
+    # G = 0 and G = F (z + 5), both zero modulo F: every value is 0
+    assert charpoly_int(fc, []) == x ** 4
+    assert charpoly_int(fc, [15, -2, -1, 10, 7, 1]) == x ** 4
+    assert charpoly_int(fc, [0, 0], 2) == x ** 2
+    # deg G >= 2 deg F: only G mod F matters
+    gc = [1, -2, 0, 4, 0, 0, 1, -3, 2, 1, 5]
+    assert charpoly_int(fc, gc) == sylvester_at_node(fc, gc)
+    # n = 1: the one value is G(-a)
+    for a in (-4, 0, 9):
+        assert charpoly_int([a, 1], [1, 0, 3, -1]) == (
+            x - (1 + 3 * a * a + a ** 3))
+    # n = 0: the empty product
+    assert charpoly_int([1], [0, 1]).coeffs == (1,)
+
+
 def test_charpoly_routes_agree():
     z = BiPoly.gen("z")
     c = BiPoly.cgen("z")
