@@ -14,7 +14,9 @@ Everything is decided in exact rational arithmetic:
   specialized polynomial by a cyclotomic polynomial (irreducible, so
   divisibility and a common root are the same thing);
 * attracting multipliers are found by a Sturm count on (-1, 1), with a
-  bisection-narrowed rational interval kept as the witness;
+  bisection-narrowed rational interval kept as the witness; the chain,
+  built once per period, is the integer primitive pseudo-remainder
+  sequence of the cleared delta_m, signed at p/q by q^n P(p/q);
 * a strictly preperiodic rational critical orbit certifies that every
   cycle is repelling, which is how c = -2 is settled.
 
@@ -28,7 +30,7 @@ from math import gcd
 
 from .families import DEGREE_CAP, Family, multiplier_poly
 from .numtheory import cyclotomic, dynatomic_degree
-from .polycore import IntPoly, _horner
+from .polycore import IntPoly
 
 
 def naive_height(c: Fraction) -> int:
@@ -124,68 +126,55 @@ def critical_orbit_certificate(fam: Family, c: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# Sturm counting over Q
+# Sturm counting over Z
 
 
-def _fpoly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _homogeneous(p: IntPoly, num: int, den: int, n: int) -> int:
+    """den^n * p(num/den) as an integer, for n at least deg p; with
+    den > 0 it has the sign of p(num/den)."""
+    acc, power = 0, den ** (n + 1 - len(p.coeffs))
+    for a in reversed(p.coeffs):
+        acc = acc * num + a * power
+        power *= den
+    return acc
 
 
-def _fpoly_divmod(a: list[Fraction],
-                  b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and trimmed remainder of a by a nonzero b over Q."""
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    a = list(a)
-    while len(a) >= len(b):
-        k = a[-1] / b[-1]
-        s = len(a) - len(b)
-        q[s] = k
-        for i, bi in enumerate(b):
-            a[s + i] -= k * bi
-        a = _fpoly_trim(a)
-    return q, a
+def sturm_chain(p: IntPoly) -> list[IntPoly]:
+    """Sturm chain over Z of the squarefree part of the nonzero p.
 
+    The terms are p, p' and the negated primitive parts of their
+    pseudo-remainders, whose positive scalings keep every sign, each
+    divided by the last term, which is gcd(p, p') up to sign.
 
-def _fpoly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return [i * a for i, a in enumerate(p)][1:]
-
-
-def _squarefree_part(p: list[Fraction]) -> list[Fraction]:
-    a, b = list(p), _fpoly_deriv(p)
-    while b:
-        a, b = b, _fpoly_divmod(a, b)[1]
-    if len(a) <= 1:
-        return list(p)
-    return _fpoly_divmod(p, a)[0]
-
-
-def sturm_count(p: list[Fraction], a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of p in the half-open interval (a, b]."""
-    p = _squarefree_part(_fpoly_trim(list(p)))
-    if len(p) <= 1:
-        return 0
-    chain = [p, _fpoly_deriv(p)]
+    >>> chain = sturm_chain(IntPoly([-1, 0, 4], "x"))   # 4 (x^2 - 1/4)
+    >>> sturm_count(chain, Fraction(-1), Fraction(1))
+    2
+    """
+    chain = [p.primitive(), p.derivative().primitive()]
     while chain[-1]:
-        nxt = [-x for x in _fpoly_divmod(chain[-2], chain[-1])[1]]
-        if not nxt:
-            break
-        chain.append(nxt)
+        chain.append(-chain[-2].prem(chain[-1]).primitive())
+    return [a.exact_div(chain[-2]) for a in chain[:-1]]
+
+
+def sturm_count(chain: list[IntPoly], a: Fraction, b: Fraction) -> int:
+    """Distinct real roots in the half-open interval (a, b] of the
+    polynomial whose ``sturm_chain`` is chain."""
+    n = len(chain[0].coeffs) - 1
 
     def variations(t: Fraction) -> int:
-        signs = [v for q in chain if (v := _horner(q, t, Fraction(0))) != 0]
-        return sum(1 for u, v in zip(signs, signs[1:]) if (u > 0) != (v > 0))
+        signs = [v > 0 for q in chain
+                 if (v := _homogeneous(q, t.numerator, t.denominator, n))]
+        return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     return variations(a) - variations(b)
 
 
-def _bisect_root_interval(p: list[Fraction], a: Fraction, b: Fraction):
+def _bisect_root_interval(chain: list[IntPoly], a: Fraction, b: Fraction):
     """Narrow (a, b] to a subinterval of width at most 1/64 still
     holding a root."""
     while b - a > Fraction(1, 64):
         mid = (a + b) / 2
-        if sturm_count(p, a, mid) > 0:
+        if sturm_count(chain, a, mid) > 0:
             b = mid
         else:
             a = mid
@@ -214,16 +203,13 @@ class Classification:
         return "%s: %s%s" % (self.c, self.status, extra)
 
 
-def _specialized_delta(fam: Family, m: int,
-                       c: Fraction) -> tuple[list[Fraction], IntPoly]:
-    """delta_m at c as exact fractions, plus a cleared integer copy."""
-    coeffs = list(multiplier_poly(fam, m).delta.specialize_c(c))
-    coeffs = [Fraction(a) for a in coeffs]
-    den = 1
-    for a in coeffs:
-        den = den * a.denominator // gcd(den, a.denominator)
-    cleared = IntPoly([int(a * den) for a in coeffs], "x")
-    return coeffs, cleared
+def _specialized_delta(fam: Family, m: int, c: Fraction) -> IntPoly:
+    """delta_m at c = p/q cleared: the primitive part of q^D delta_m(p/q, x),
+    D = deg_c delta_m, which has a positive leading coefficient."""
+    delta = multiplier_poly(fam, m).delta
+    degc = delta.deg_c
+    return IntPoly([_homogeneous(a, c.numerator, c.denominator, degc)
+                    for a in delta.coeffs], "x").primitive()
 
 
 def chebyshev_note(c: Fraction) -> str | None:
@@ -277,8 +263,8 @@ def classify(fam: Family, c: Fraction, m_max: int = 6,
             notes.append("periods above m=%d not tested (degree guardrail)"
                          % m_tested)
             break
-        fractions, cleared = _specialized_delta(fam, m, c)
-        if fractions and fractions[0] == 0:
+        cleared = _specialized_delta(fam, m, c)
+        if cleared.coeff(0) == 0:
             return Classification(c=c, status="superattracting", period=m,
                                   witness={"delta_at_0": "0"}, notes=notes)
         for j in range(1, j_max + 1):
@@ -292,11 +278,12 @@ def classify(fam: Family, c: Fraction, m_max: int = 6,
                 witness={"delta": str(cleared), "cyclotomic_factor": str(cyc),
                          "quotient": str(quotient)},
                 notes=notes)
-        count = sturm_count(fractions, Fraction(-1), Fraction(1))
+        chain = sturm_chain(cleared)
+        count = sturm_count(chain, Fraction(-1), Fraction(1))
         # Roots at exactly -1 belong to cyc_2 and were caught above, so
         # the half-open Sturm count equals the open-interval count here.
         if count > 0:
-            a, b = _bisect_root_interval(fractions, Fraction(-1), Fraction(1))
+            a, b = _bisect_root_interval(chain, Fraction(-1), Fraction(1))
             return Classification(
                 c=c, status="attracting", period=m,
                 witness={"delta": str(cleared), "roots_in_disc": count,

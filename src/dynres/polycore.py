@@ -8,8 +8,10 @@ coefficients are ``IntPoly`` values in the parameter ``c``.  Both take
 their ring operations and exact division from ``_Dense``, and share one
 product kernel ``_polymul``, one remainder kernel ``_polyrem_monic``
 and one Horner loop ``_horner``, which work on coefficient lists of
-ints and of IntPolys alike.  ``NewtonPolygon`` reads the c-degrees of a
-``BiPoly``'s coefficients as a lower convex hull.
+ints and of IntPolys alike; one long-division loop ``_Dense._divmod``
+is behind ``exact_div`` and the IntPoly pseudo-remainder ``prem``.
+``NewtonPolygon`` reads the c-degrees of a ``BiPoly``'s coefficients
+as a lower convex hull.
 
 Everything is exact.  There is no floating point anywhere in this
 module, no modular shortcut, and every division either succeeds exactly
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 from .errors import DivisionNotExact, NotPerfectPower, ZeroPolynomial
@@ -148,24 +151,26 @@ class _Dense:
             n >>= 1
         return result
 
-    def exact_div(self, divisor):
-        """Exact quotient in the same ring; raises DivisionNotExact
-        otherwise."""
+    def _divmod(self, divisor) -> tuple[list, list]:
+        """Quotient and remainder lists of long division; each quotient
+        coefficient is one exact ``_cdiv``."""
         if divisor.is_zero:
             raise ZeroPolynomial("division by the zero polynomial")
-        if self.is_zero:
-            return self._new(())
         rem = list(self.coeffs)
         dd = len(divisor.coeffs) - 1
         dl = divisor.coeffs[-1]
-        if len(rem) - 1 < dd:
-            raise DivisionNotExact("degree too small for exact division")
-        q = [self._czero] * (len(rem) - dd)
+        q = [self._czero] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
             if rem[i]:
                 qc = q[i - dd] = self._cdiv(rem[i], dl)
                 for j, b in enumerate(divisor.coeffs):
                     rem[i - dd + j] -= qc * b
+        return q, rem
+
+    def exact_div(self, divisor):
+        """Exact quotient in the same ring; raises DivisionNotExact
+        otherwise."""
+        q, rem = self._divmod(divisor)
         if any(rem):
             raise DivisionNotExact("nonzero remainder")
         return self._new(q)
@@ -221,8 +226,19 @@ class IntPoly(_Dense):
                 "leading coefficient %d not divisible by %d" % (a, b))
         return q
 
-    def __call__(self, value: Union[int, Fraction]):
-        """Evaluate by Horner's rule at an integer or Fraction."""
+    def prem(self, divisor: "IntPoly") -> "IntPoly":
+        """Remainder of |lc divisor|^(deg self - deg divisor + 1) * self,
+        a positive multiple of the remainder over Q; all steps exact."""
+        k = max(len(self.coeffs) - len(divisor.coeffs) + 1, 0)
+        return self._new((self * abs(divisor.lc) ** k)._divmod(divisor)[1])
+
+    def primitive(self) -> "IntPoly":
+        """self divided by the positive gcd of its coefficients."""
+        g = gcd(*self.coeffs)
+        return self._new([a // g for a in self.coeffs]) if g > 1 else self
+
+    def __call__(self, value: int) -> int:
+        """Evaluate by Horner's rule at an integer."""
         return _horner(self.coeffs, value, 0)
 
     def __str__(self) -> str:
@@ -339,10 +355,6 @@ class BiPoly(_Dense):
     def specialize_c_int(self, c0: int) -> IntPoly:
         """Specialize c to an integer, leaving a main-variable polynomial."""
         return IntPoly([a(c0) for a in self.coeffs], self.main_var)
-
-    def specialize_c(self, c0: Union[int, Fraction]) -> tuple:
-        """Coefficients in the main variable after c -> c0, as exact numbers."""
-        return _strip([a(c0) for a in self.coeffs])
 
     def scale_c(self, s: IntPoly) -> "BiPoly":
         """Multiply by a polynomial in c alone."""

@@ -21,9 +21,9 @@ m-th root directly: its power sums are the traces divided by m, and
 only the first deg F / m of them are formed (Bostan, Flajolet, Salvy
 and Schost, "Fast computation of special resultants", 2006).  The
 number of nodes comes from a proven a-priori bound on the c-degree,
-never from a search: the caller's bound, typically orbit_degc_bound,
+never from a search: the caller passes it, typically orbit_degc_bound,
 which reads the growth of the roots at c = oo off a Newton polygon, or
-else the Sylvester-shape cap degc_cap.  One extra node is always
+the Sylvester-shape cap degc_cap.  One extra node is always
 computed and checked against the interpolated answer, and a mismatch
 raises BoundTooSmall rather than returning a wrong polynomial.
 
@@ -293,17 +293,17 @@ def orbit_degc_bound(F: BiPoly, h: BiPoly, steps: int,
     return steps * total // root_index
 
 
-def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None,
-                    m: int = 1, stride: int = 1) -> BiPoly:
+def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int, m: int = 1,
+                    stride: int = 1) -> BiPoly:
     """Res(F, x - G) for monic F via per-node integer charpolys.
 
     With m > 1 the result is instead the monic m-th root of that
     resultant, node by node through ``charpoly_int(fc, gc, m)``.  The
-    c-degree bound is degc_bound, or the Sylvester cap when it is None.
-    The caller may assert that every c-exponent of the result is a
-    multiple of stride, as a symmetry c -> zeta c with zeta^stride = 1
-    proves; the result is then interpolated in C = c^stride from the
-    nodes c = 0, 1, ..., bound // stride.  One extra node checks the
+    caller passes a proven c-degree bound, degc_bound.  It may also
+    assert that every c-exponent of the result is a multiple of stride,
+    as a symmetry c -> zeta c with zeta^stride = 1 proves; the result is
+    then interpolated in C = c^stride from the nodes
+    c = 0, 1, ..., degc_bound // stride.  One extra node checks the
     bound and the stride, and a mismatch raises BoundTooSmall.
     """
     if not F.is_monic:
@@ -311,8 +311,7 @@ def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None,
     if stride < 1:
         raise ValueError("stride must be positive")
     n = F.degree
-    bound = degc_cap(F, G) if degc_bound is None else degc_bound
-    top = bound // stride + 1
+    top = degc_bound // stride + 1
 
     def value_at(c0: int) -> IntPoly:
         fc = [F.coeff(i)(c0) for i in range(n + 1)]
@@ -323,9 +322,10 @@ def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int | None = None,
     try:
         result = interpolate_intpolys(values[:-1], "x", F.cvar, stride)
     except DivisionNotExact as exc:
-        raise BoundTooSmall("degree bound %d failed verification" % bound) from exc
+        raise BoundTooSmall(
+            "degree bound %d failed verification" % degc_bound) from exc
     if result.specialize_c_int(top) != values[-1]:
-        raise BoundTooSmall("degree bound %d failed verification" % bound)
+        raise BoundTooSmall("degree bound %d failed verification" % degc_bound)
     return result
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -14,8 +15,10 @@ from dynres.parabolic import (
     logistic_bridge,
     naive_height,
     parabolic_height_test,
+    sturm_chain,
     sturm_count,
 )
+from dynres.polycore import IntPoly
 
 F = Fraction
 FAM2 = Family("unicritical", 2)
@@ -33,6 +36,34 @@ EXPECTED2 = {
     F(-1, 4): ("attracting", 1, None),
     F(0): ("superattracting", 1, None),
     F(1, 4): ("parabolic", 1, 1),
+}
+
+# `dynres parabolic --d 3/4/5` at the default m_max: per candidate the
+# (status, period, root_order) and the bisection interval of an
+# attracting row
+U = ("unresolved", None, None, None)
+S1 = ("superattracting", 1, None, None)
+EXPECTED_HIGHER = {
+    3: {F(-4, 3): U, F(-1): U, F(-2, 3): U,
+        F(-1, 3): ("attracting", 1, None, ["29/64", "15/32"]),
+        F(0): S1,
+        F(1, 3): ("attracting", 1, None, ["29/64", "15/32"]),
+        F(2, 3): U, F(1): U, F(4, 3): U},
+    4: {F(-5, 4): U,
+        F(-1): ("superattracting", 2, None, None),
+        F(-3, 4): ("attracting", 1, None, ["-59/64", "-29/32"]),
+        F(-1, 2): ("attracting", 1, None, ["-25/64", "-3/8"]),
+        F(-1, 4): ("attracting", 1, None, ["-1/16", "-3/64"]),
+        F(0): S1,
+        F(1, 4): ("attracting", 1, None, ["1/16", "5/64"]),
+        F(1, 2): U, F(3, 4): U, F(1): U, F(5, 4): U},
+    5: {F(-1): U, F(-4, 5): U, F(-3, 5): U,
+        F(-2, 5): ("attracting", 1, None, ["9/64", "5/32"]),
+        F(-1, 5): ("attracting", 1, None, ["0", "1/64"]),
+        F(0): S1,
+        F(1, 5): ("attracting", 1, None, ["0", "1/64"]),
+        F(2, 5): ("attracting", 1, None, ["9/64", "5/32"]),
+        F(3, 5): U, F(4, 5): U, F(1): U},
 }
 
 
@@ -98,11 +129,47 @@ def test_critical_orbit():
 
 def test_sturm_count():
     # count in the half-open interval (a, b]
-    assert sturm_count([F(-1, 4), F(0), F(1)], F(-1), F(1)) == 2
-    assert sturm_count([F(-4), F(0), F(1)], F(-1), F(1)) == 0
-    assert sturm_count([F(1, 4), F(-1), F(1)], F(-1), F(1)) == 1
-    assert sturm_count([F(-1), F(1)], F(-1), F(1)) == 1
-    assert sturm_count([F(-2), F(1)], F(-1), F(1)) == 0
+    def count(coeffs):
+        return sturm_count(sturm_chain(IntPoly(coeffs, "x")), F(-1), F(1))
+
+    assert count([-1, 0, 4]) == 2
+    assert count([-4, 0, 1]) == 0
+    assert count([1, -4, 4]) == 1
+    assert count([-1, 1]) == 1
+    assert count([-2, 1]) == 0
+
+
+def test_sturm_count_against_known_roots():
+    # (q x - p)^e with e <= 3 for a few known roots p/q, times a
+    # quadratic with negative discriminant (irreducible, no real root),
+    # with either sign of the leading coefficient: the count over
+    # (a, b] must be the number of distinct known roots there, a root
+    # at b counted and a root at a not
+    rng = random.Random(20261018)
+
+    def check(p, roots):
+        intervals = [(r, r + F(1, 7)) for r in roots]
+        intervals += [(r - F(1, 7), r) for r in roots]
+        for _ in range(10):
+            a = F(rng.randint(-40, 40), rng.randint(1, 8))
+            intervals.append((a, a + F(rng.randint(0, 40), rng.randint(1, 8))))
+        for sign in (1, -1):
+            chain = sturm_chain(sign * p)
+            for a, b in intervals:
+                want = sum(1 for r in roots if a < r <= b)
+                assert sturm_count(chain, a, b) == want, (sign * p, a, b)
+
+    for _ in range(40):
+        roots = {F(rng.randint(-9, 9), rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 4))}
+        p = IntPoly([rng.randint(3, 5), rng.randint(-2, 2), rng.randint(1, 3)])
+        for r in roots:
+            p = p * IntPoly([-r.numerator, r.denominator]) ** rng.randint(1, 3)
+        check(p, roots)
+    # x^4 + 15x + 14 = (x + 1)(x + 2)(x^2 - 3x + 7): its chain has degrees
+    # 4, 3, 1, 0, so one pseudo-remainder scales by the cube of a negative
+    # leading coefficient, and only |lc|^3 keeps the sign
+    check(IntPoly([14, 15, 0, 0, 1]), {F(-1), F(-2)})
 
 
 def test_classify_candidates():
@@ -111,6 +178,17 @@ def test_classify_candidates():
         assert out.status == status, "%s: %s" % (c, out.line())
         assert out.period == period
         assert out.root_order == order
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_classify_higher_degree(d):
+    fam = Family("unicritical", d)
+    got = {}
+    for c in enumerate_candidates(d):
+        out = classify(fam, c)
+        got[c] = (out.status, out.period, out.root_order,
+                  out.witness.get("interval"))
+    assert got == EXPECTED_HIGHER[d]
 
 
 def test_classify_witnesses():
@@ -123,6 +201,9 @@ def test_classify_witnesses():
     assert out.witness["cyclotomic_factor"] == "x + 1"
     out = classify(FAM2, F(-1, 2))
     assert out.witness["roots_in_disc"] == 1
+    assert out.witness["interval"] == ["-47/64", "-23/32"]
+    out = classify(FAM2, F(-1, 4))
+    assert out.witness["interval"] == ["-27/64", "-13/32"]
     out = classify(FAM2, F(-3, 2))
     assert out.witness == {"m_max": 6, "j_max": 12}
 

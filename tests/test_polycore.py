@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dynres.errors import DivisionNotExact, NotPerfectPower
@@ -35,6 +37,24 @@ def test_intpoly_division():
         == (1, 2)
     with pytest.raises(DivisionNotExact):
         IntPoly([1, 2], "c").exact_div(IntPoly.const(2, "c"))
+    # a divisor of higher degree leaves a nonzero remainder
+    with pytest.raises(DivisionNotExact):
+        IntPoly([1, 1], "c").exact_div(IntPoly([1, 0, 1], "c"))
+
+
+def test_intpoly_pseudo_remainder():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        a = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))])
+        b = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+                    + [rng.choice((-3, -2, -1, 1, 2, 3))])
+        r = a.prem(b)
+        assert r.is_zero or r.degree < b.degree
+        k = max(len(a.coeffs) - len(b.coeffs) + 1, 0)
+        # |lc b|^k a - r is an exact multiple of b
+        (a * abs(b.lc) ** k - r).exact_div(b)
+    assert IntPoly([-6, 0, 4], "c").primitive().coeffs == (-3, 0, 2)
+    assert IntPoly([], "c").primitive().is_zero
 
 
 def test_intpoly_shift_derivative():
@@ -66,11 +86,6 @@ def test_bipoly_compose_and_eval():
     assert ff == z ** 4 + 2 * c * z ** 2 + c * c + c
     assert f.eval_main_int(1).coeffs == (1, 1)
     assert f.specialize_c_int(2) == IntPoly([2, 0, 1], "z")
-    # specialize_c returns plain numbers, ascending
-    assert f.specialize_c(2) == (2, 0, 1)
-    from fractions import Fraction
-    vals = f.specialize_c(Fraction(1, 4))
-    assert vals == (Fraction(1, 4), 0, 1)
 
 
 def test_bipoly_rem_monic():

@@ -6,6 +6,7 @@ from dynres.resultants import (
     charpoly_int,
     charpoly_interp,
     charpoly_sylvester,
+    degc_cap,
     resultant,
     resultant_sylvester,
 )
@@ -46,7 +47,8 @@ def test_resultant_route_agreement():
         F = random_bipoly(rng, rng.randint(1, 4), rng.randint(0, 2), bound=5,
                           monic=True)
         G = random_bipoly(rng, rng.randint(0, 3), rng.randint(0, 2), bound=5)
-        assert charpoly_interp(F, G) == charpoly_sylvester(F, G)
+        assert (charpoly_interp(F, G, degc_bound=degc_cap(F, G))
+                == charpoly_sylvester(F, G))
 
 
 def test_resultant_specialization_commutes():
@@ -59,8 +61,7 @@ def test_resultant_specialization_commutes():
                           bound=5, monic=True)
         res = resultant_sylvester(F, G)
         c0 = rng.choice(points)
-        Fc, Gc = (BiPoly([IntPoly.const(int(a), "c")
-                          for a in P.specialize_c(c0)], "z") for P in (F, G))
+        Fc, Gc = (BiPoly(P.specialize_c_int(c0).coeffs, "z") for P in (F, G))
         assert res(c0) == resultant_sylvester(Fc, Gc)(0)
         # the remainder kernel on Z[c] coefficients, then c -> c0, equals
         # the same kernel on the integer coefficients at c0
