@@ -10,20 +10,27 @@ Z[x][c^s], by a symmetry c -> zeta c with zeta^s = 1, the interpolation
 runs in C = c^s at the points 0, 1, 2^s, ..., and about 1/s as many
 nodes are needed.  Per node, ``charpoly_int`` builds the n columns of
 the matrix M of multiplication by G on Z[z]/(F), n = deg F, each one z
-times the previous one reduced modulo F.  The traces of G^k are then
-read off the transposed recurrence u <- M^T u, started from the power
-sums of the roots of F: each step is n dot products, and the k-th trace
-is u[0].  Newton's identities turn the traces into the coefficients; no
-fractions appear, and every division is by a small integer and checked.
-When the resultant is known to be an m-th power, as
+times the previous one reduced modulo F.  The traces of G^k are read
+by baby-step/giant-step power projection (Shoup, "Efficient computation
+of minimal polynomials in algebraic extensions of finite fields", ISSAC
+1999).  For d traces and r = isqrt(d), the baby steps form G^j mod F
+for j <= r, one product with M each.  The giant steps run u <- M_h^T u
+from the power sums of the roots of F, with M_h the matrix of
+h = G^r mod F built the same way, so each step is n dot products.  The
+trace of G^(ri + j) is the dot product of the i-th u with the j-th baby
+vector.  That is about r + d / r products of a matrix with a vector
+instead of d.  Newton's identities turn the traces into the
+coefficients; no fractions appear, and every division is by a small
+integer and checked.  When the resultant is known to be an m-th power, as
 Res_z(Phi*_m, x - (f^m)') = delta_m^m is, the root index m returns the
 m-th root directly: its power sums are the traces divided by m, and
 only the first deg F / m of them are formed (Bostan, Flajolet, Salvy
 and Schost, "Fast computation of special resultants", 2006).  The
 number of nodes comes from a proven a-priori bound on the c-degree,
-never from a search: the caller passes it, typically orbit_degc_bound,
-which reads the growth of the roots at c = oo off a Newton polygon, or
-the Sylvester-shape cap degc_cap.  One extra node is always
+never from a search: the caller passes it, orbit_degc_bound, which
+reads the growth of the roots at c = oo off a Newton polygon.  The
+Sylvester-shape cap degc_cap is the bound of the oracle and test side,
+where F and G carry no orbit structure.  One extra node is always
 computed and checked against the interpolated answer, and a mismatch
 raises BoundTooSmall rather than returning a wrong polynomial.
 
@@ -39,6 +46,7 @@ them.
 """
 from __future__ import annotations
 
+from math import isqrt
 from operator import mul
 
 from .errors import (BoundTooSmall, DivisionNotExact, NotPerfectPower,
@@ -168,13 +176,19 @@ def charpoly_int(fc: list[int], gc: list[int], m: int = 1) -> IntPoly:
     of an exact m-cycle.
 
     With M the matrix of multiplication by G on Z[z]/(F) and t the power
-    sums of the roots of F, the trace of G^k is t . M^k e_0.  The
-    recurrence runs transposed, u <- M^T u from u = t, so each step is
-    n dot products of u with the columns of M and the k-th trace is
-    u[0].  Only the first deg F / m traces are formed, and each must be
-    divisible by m exactly; a remainder raises DivisionNotExact, and a
-    degree not divisible by m raises NotPerfectPower.  Newton's
-    identities then give the coefficients, each division checked.
+    sums of the roots of F, the trace of G^k is t . (G^k mod F).  The
+    traces come from baby-step/giant-step power projection (Shoup,
+    ISSAC 1999), with deg = deg F / m and r = isqrt(deg).  The baby
+    steps form v_j = G^j mod F = M^(j-1) (G mod F) for j = 1..r, by dot
+    products with the rows of M.  The giant steps run
+    u_(i+1) = M_h^T u_i from u_0 = t, with M_h the columns of
+    h = v_r = G^r mod F, so each is n dot products.  The trace of
+    G^(ri + j) is then u_i . v_j; at r = 1, M_h is M and this is the
+    plain recurrence u <- M^T u.  Only the first deg traces are formed,
+    and each must be divisible by m exactly; a remainder raises
+    DivisionNotExact, and a degree not divisible by m raises
+    NotPerfectPower.  Newton's identities then give the coefficients,
+    each division checked.
     """
     if not fc or fc[-1] != 1:
         raise ValueError("charpoly_int needs a monic F")
@@ -187,24 +201,28 @@ def charpoly_int(fc: list[int], gc: list[int], m: int = 1) -> IntPoly:
     if deg == 0:
         return IntPoly((1,), "x")
     cols = _multiplication_columns(gc, fc)
+    rows = list(zip(*cols))
+    r = isqrt(deg)
+    baby = [cols[0]]
+    for _ in range(r - 1):
+        baby.append([sum(map(mul, row, baby[-1])) for row in rows])
+    giant = _multiplication_columns(baby[-1], fc) if r > 1 else cols
     u = _powersums_of_roots(fc)
-    traces = []
-    for _ in range(deg - 1):
-        u = [sum(map(mul, u, col)) for col in cols]
-        traces.append(u[0])
-    # The last trace needs only the first entry of M^T u.
-    traces.append(sum(map(mul, u, cols[0])))
+    traces = [sum(map(mul, u, v)) for v in baby]
+    while len(traces) < deg:
+        u = [sum(map(mul, u, col)) for col in giant]
+        traces += [sum(map(mul, u, v)) for v in baby[:deg - len(traces)]]
     p = []
     for trace in traces:
-        q, r = divmod(trace, m)
-        if r:
+        q, rem = divmod(trace, m)
+        if rem:
             raise DivisionNotExact("trace not divisible by %d" % m)
         p.append(q)
     # Coefficient a_i of x^(deg - i): i a_i = -(p_1 a_{i-1} + ... + p_i a_0).
     a = [1]
     for i in range(1, deg + 1):
-        q, r = divmod(-sum(map(mul, a[::-1], p)), i)
-        if r:
+        q, rem = divmod(-sum(map(mul, a[::-1], p)), i)
+        if rem:
             raise DivisionNotExact("Newton identity division failed")
         a.append(q)
     return IntPoly(a[::-1], "x")

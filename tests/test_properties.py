@@ -118,3 +118,27 @@ def test_charpoly_int_against_sylvester():
             got = charpoly_int(list(F.specialize_c_int(c0).coeffs),
                                list(G.specialize_c_int(c0).coeffs))
             assert got == oracle.specialize_c_int(c0)
+
+
+def test_charpoly_int_every_step_size():
+    # F = prod (z - a_i) has the roots a_i, so charpoly_int(F, G) is
+    # prod (x - G(a_i)).  deg = 1..30 lies on both sides of every square
+    # r^2, so each baby-step count r = isqrt(deg) = 1..5 is run with
+    # every number of giant steps it meets.  For m = 2, 3 the roots of
+    # F = prod (z^m - b_i) are the m-th roots of the b_i, and G = P(z^m)
+    # takes the value P(b_i) on the m of them: the m-th root is
+    # prod (x - P(b_i)).
+    rng = random.Random(20240907)
+    x = IntPoly.gen("x")
+    for m in (1, 2, 3):
+        for deg in range(1, 31):
+            roots = [rng.randint(-3, 3) for _ in range(deg)]
+            p = [rng.randint(-3, 3) for _ in range(rng.randint(1, deg + 3))]
+            P = IntPoly(p, "z")
+            F = IntPoly((1,), "z")
+            want = IntPoly((1,), "x")
+            for b in roots:
+                F = F * IntPoly([-b, 1], "z")
+                want = want * (x - P(b))
+            fc, gc = spread(list(F.coeffs), m), spread(p, m)
+            assert charpoly_int(fc, gc, m) == want, (m, deg)

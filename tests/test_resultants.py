@@ -94,6 +94,21 @@ def test_charpoly_int_root_index_not_exact():
         charpoly_int([-1, 0, 0, 1], [0, 1], 2)
 
 
+def test_charpoly_int_not_exact_in_giant_step():
+    # F = (z^k - 1) z^(m deg - k): the traces of z^j over its roots are k
+    # when k divides j and 0 otherwise.  G = z^(k+1) + (z + 2) F is
+    # z^(k+1) modulo F, and k + 1 is prime to k, so the trace of G^j is
+    # k when k divides j: the k-th trace, k > isqrt(deg), is the first
+    # one that m does not divide, and a giant step reads it
+    z = IntPoly.gen("z")
+    for m, deg, k in ((2, 4, 3), (3, 4, 4), (2, 9, 5), (2, 9, 7),
+                      (3, 16, 14)):
+        F = z ** (m * deg) - z ** (m * deg - k)
+        G = z ** (k + 1) + (z + 2) * F
+        with pytest.raises(DivisionNotExact, match="trace not divisible"):
+            charpoly_int(list(F.coeffs), list(G.coeffs), m)
+
+
 def sylvester_at_node(fc, gc):
     """The oracle Res_z(F, x - G) for integer coefficient lists."""
     return charpoly_sylvester(const(*fc), const(*gc)).specialize_c_int(0)
