@@ -40,7 +40,7 @@ from . import invariants as inv
 from . import newton
 from .numtheory import divisors
 from .parabolic import classify, classify_logistic, enumerate_candidates
-from .report import Report, Verdict
+from .report import Verdict
 from .serialize import encode_csv, encode_json
 
 
@@ -283,10 +283,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = [v for v in verdicts if not v.passed]
     print("%d checks, %d failed" % (len(verdicts), len(failed)))
     if args.report is not None:
-        rep = Report(command="verify",
-                     parameters={"suite": args.suite},
-                     verdicts=verdicts, wall_clock=clocks)
-        _write_or_print(rep.to_json(), args.report)
+        payload = {"command": "verify", "parameters": {"suite": args.suite},
+                   "verdicts": [dataclasses.asdict(v) for v in verdicts],
+                   "wall_clock": clocks}
+        _write_or_print(json.dumps(payload, indent=2) + "\n", args.report)
     return 1 if failed else 0
 
 

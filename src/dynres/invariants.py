@@ -32,7 +32,7 @@ from .families import (Family, c_stride, dynatomic, fixed_point_resultant,
 from .numtheory import (common_prime_part, cyclotomic, divisors,
                         dynatomic_degree, euler_phi, factorize,
                         moebius_product)
-from .polycore import BiPoly, IntPoly, eval_at_bipoly
+from .polycore import BiPoly, IntPoly
 from .report import Verdict
 from .resultants import (charpoly_int, charpoly_interp, orbit_degc_bound,
                          resultant)
@@ -44,32 +44,7 @@ from .resultants import (charpoly_int, charpoly_interp, orbit_degc_bound,
 
 def lift_to_x(p: IntPoly, cvar: str = "c") -> BiPoly:
     """An integer polynomial in x viewed as a BiPoly with constant c-part."""
-    return BiPoly([IntPoly.const(a, cvar) for a in p.coeffs], "x", cvar)
-
-
-def _cleared_rational_eval(P: BiPoly, num: IntPoly, den: int) -> IntPoly:
-    """(den ** deg P) * P(num / den), which is an exact c-polynomial."""
-    n = P.degree
-    if n is None:
-        return IntPoly((), P.cvar)
-    acc = IntPoly((), P.cvar)
-    numpow = IntPoly.const(1, P.cvar)
-    for i in range(n + 1):
-        acc = acc + P.coeff(i) * numpow * den ** (n - i)
-        numpow = numpow * num
-    return acc
-
-
-def _pow_rem(base: BiPoly, e: int, mod: BiPoly) -> BiPoly:
-    result = BiPoly.const(1, base.main_var, base.cvar)
-    sq = base.rem_monic(mod)
-    while e:
-        if e & 1:
-            result = (result * sq).rem_monic(mod)
-        e >>= 1
-        if e:
-            sq = (sq * sq).rem_monic(mod)
-    return result
+    return BiPoly(p.coeffs, "x", cvar)
 
 
 def _constant_lead(P: BiPoly, degc: int, coef: int) -> str | None:
@@ -609,7 +584,7 @@ def cleared_eval_lt_check(d: int, k: int) -> list[Verdict]:
     nm = IntPoly((0, d), "c")   # d*c
     out = []
     for name, P, degc, coef in claims:
-        val = BiPoly.const(_cleared_rational_eval(P, nm, d + 1), "x")
+        val = BiPoly.const(P.cleared_eval(nm, d + 1, P.degree), "x")
         out.append(Verdict.claim("cleared-eval-leading-term",
                                  {"d": d, "k": k, "poly": name},
                                  _constant_lead(val, degc, coef)))
@@ -698,9 +673,9 @@ def dynatomic_equality_check(fam: Family, k: int, m: int) -> Verdict:
     first_ok = lhs == mid
 
     lam = red(multiplier_derivative(fam, k))
-    lam_pow = _pow_rem(lam, mtil // k, phik)
+    lam_pow = red(lam ** (mtil // k))
     if mp > 1:
-        rhs = red(eval_at_bipoly(cyclotomic(mp), lam_pow))
+        rhs = red(lift_to_x(cyclotomic(mp)).compose(lam_pow))
         second_ok = mid == rhs
         mode = "cyclotomic-congruence"
     else:

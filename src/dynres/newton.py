@@ -12,7 +12,7 @@ slope t.
 from __future__ import annotations
 
 from .families import Family, fixed_point_resultant, iterate, multiplier_poly
-from .invariants import _cleared_rational_eval, _linear_factor, _orbit_product
+from .invariants import _linear_factor, _orbit_product
 from .numtheory import dynatomic_degree
 from .polycore import BiPoly, IntPoly, NewtonPolygon
 from .report import Verdict
@@ -91,8 +91,8 @@ def linear_resultant_polygon_check(d: int, k: int) -> list[Verdict]:
                        % (np_.zero_order, np_.slopes))
     v2 = Verdict.identity("linear-resultant-constant-term", {"d": d, "k": k},
                           G.coeff(0),
-                          _cleared_rational_eval(F_k, IntPoly((0, d), "c"),
-                                                 d + 1))
+                          F_k.cleared_eval(IntPoly((0, d), "c"), d + 1,
+                                           F_k.degree))
     return [v1, v2]
 
 

@@ -19,15 +19,7 @@ def divisors(n: int) -> list[int]:
     """
     if n <= 0:
         raise ValueError("divisors of a nonpositive integer")
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    return [k for k in range(1, n + 1) if n % k == 0]
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -16,7 +16,8 @@ Everything is decided in exact rational arithmetic:
 * attracting multipliers are found by a Sturm count on (-1, 1), with a
   bisection-narrowed rational interval kept as the witness; the chain,
   built once per period, is the integer primitive pseudo-remainder
-  sequence of the cleared delta_m, signed at p/q by q^n P(p/q);
+  sequence of the cleared delta_m, signed at p/q by q^n P(p/q), the
+  cleared evaluation ``P.cleared_eval(p, q, n)``;
 * a strictly preperiodic rational critical orbit certifies that every
   cycle is repelling, which is how c = -2 is settled.
 
@@ -77,23 +78,14 @@ def enumerate_candidates(d: int) -> list[Fraction]:
     escape bound |c|^(d-1) <= 2 (for d = 2 also c <= 1/4).  Everything
     else is certified to have no non-repelling cycle, so only these
     need classification.  The divisibility implies q^(d-1) <= d^d, so
-    q <= d^(d/(d-1)) <= d^2 bounds the scan of denominators.
+    q <= d^(d/(d-1)) <= d^2 bounds the scan of denominators; the escape
+    bound implies |p| <= 2q, and escape_certificate applies it exactly.
     """
     fam = Family("unicritical", d)
     qs = [q for q in range(1, d * d + 1) if d ** d % q ** (d - 1) == 0]
-    out = set()
-    for q in qs:
-        # |p| / q <= 2^(1/(d-1)) exactly: p^(d-1) <= 2 q^(d-1)
-        pmax = 1
-        while (pmax + 1) ** (d - 1) <= 2 * q ** (d - 1):
-            pmax += 1
-        for p in range(-pmax, pmax + 1):
-            if gcd(p, q) != 1:
-                continue
-            c = Fraction(p, q)
-            if escape_certificate(fam, c) is None:
-                out.add(c)
-    return sorted(out)
+    cands = [Fraction(p, q) for q in qs for p in range(-2 * q, 2 * q + 1)
+             if gcd(p, q) == 1]
+    return sorted(c for c in cands if escape_certificate(fam, c) is None)
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +121,6 @@ def critical_orbit_certificate(fam: Family, c: Fraction):
 # Sturm counting over Z
 
 
-def _homogeneous(p: IntPoly, num: int, den: int, n: int) -> int:
-    """den^n * p(num/den) as an integer, for n at least deg p; with
-    den > 0 it has the sign of p(num/den)."""
-    acc, power = 0, den ** (n + 1 - len(p.coeffs))
-    for a in reversed(p.coeffs):
-        acc = acc * num + a * power
-        power *= den
-    return acc
-
-
 def sturm_chain(p: IntPoly) -> list[IntPoly]:
     """Sturm chain over Z of the squarefree part of the nonzero p.
 
@@ -163,7 +145,7 @@ def sturm_count(chain: list[IntPoly], a: Fraction, b: Fraction) -> int:
 
     def variations(t: Fraction) -> int:
         signs = [v > 0 for q in chain
-                 if (v := _homogeneous(q, t.numerator, t.denominator, n))]
+                 if (v := q.cleared_eval(t.numerator, t.denominator, n))]
         return sum(1 for u, v in zip(signs, signs[1:]) if u != v)
 
     return variations(a) - variations(b)
@@ -208,7 +190,7 @@ def _specialized_delta(fam: Family, m: int, c: Fraction) -> IntPoly:
     D = deg_c delta_m, which has a positive leading coefficient."""
     delta = multiplier_poly(fam, m).delta
     degc = delta.deg_c
-    return IntPoly([_homogeneous(a, c.numerator, c.denominator, degc)
+    return IntPoly([a.cleared_eval(c.numerator, c.denominator, degc)
                     for a in delta.coeffs], "x").primitive()
 
 

@@ -10,6 +10,9 @@ product kernel ``_polymul``, one remainder kernel ``_polyrem_monic``
 and one Horner loop ``_horner``, which work on coefficient lists of
 ints and of IntPolys alike; one long-division loop ``_Dense._divmod``
 is behind ``exact_div`` and the IntPoly pseudo-remainder ``prem``.
+Evaluation at a rational point is ``_Dense.cleared_eval``, one
+homogeneous Horner loop for den^n P(num/den): an integer for an
+IntPoly at integers, a c-polynomial for a BiPoly at a polynomial in c.
 ``NewtonPolygon`` reads the c-degrees of a ``BiPoly``'s coefficients
 as a lower convex hull.
 
@@ -177,6 +180,23 @@ class _Dense:
 
     def derivative(self):
         return self._new([a * i for i, a in enumerate(self.coeffs)][1:])
+
+    def cleared_eval(self, num, den: int, n: int):
+        """den^n * self(num/den) for n at least deg self, by one
+        homogeneous Horner loop; with den > 0 it has the sign of
+        self(num/den).
+
+        >>> IntPoly([1, -3, 2], "x").cleared_eval(3, 2, 2)   # 4 p(3/2)
+        4
+        """
+        if n + 1 < len(self.coeffs):
+            raise ValueError("clearing exponent %d below degree %d"
+                             % (n, self.degree))
+        acc, power = self._czero, den ** (n + 1 - len(self.coeffs))
+        for a in reversed(self.coeffs):
+            acc = acc * num + a * power
+            power *= den
+        return acc
 
 
 
@@ -375,11 +395,6 @@ class BiPoly(_Dense):
             else:
                 parts.append("(%s)*%s^%d" % (a, self.main_var, i))
         return " + ".join(parts)
-
-
-def eval_at_bipoly(p: IntPoly, value: BiPoly) -> BiPoly:
-    """Evaluate an integer polynomial at a BiPoly argument."""
-    return _horner(p.coeffs, value, BiPoly((), value.main_var, value.cvar))
 
 
 def nth_root(p: BiPoly, n: int) -> BiPoly:

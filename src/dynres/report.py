@@ -1,15 +1,15 @@
-"""Verdicts and run reports.
+"""Verdict records.
 
 A Verdict records the outcome of one checked identity: which check ran,
 with which parameters, whether it passed, and an exact residual or
 witness when there is something to show.  Residuals and witnesses are
 stored as strings produced by exact arithmetic so that a report is
-readable without the package installed.
+readable without the package installed; ``dynres verify --report``
+writes the verdicts of a run as plain JSON.
 """
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Any
 
 
@@ -51,28 +51,3 @@ class Verdict:
         extra = "" if self.residual is None else "  [%s]" % self.residual
         return "%-4s %s %s%s" % (tag, self.check, bits, extra)
 
-
-@dataclasses.dataclass
-class Report:
-    command: str
-    parameters: dict[str, Any]
-    verdicts: list[Verdict]
-    wall_clock: dict[str, float]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        data = json.loads(text)
-        verdicts = [Verdict(**v) for v in data["verdicts"]]
-        return cls(
-            command=data["command"],
-            parameters=data["parameters"],
-            verdicts=verdicts,
-            wall_clock=data["wall_clock"],
-        )

@@ -328,15 +328,10 @@ def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int, m: int = 1,
         raise ValueError("interpolation charpoly needs F monic")
     if stride < 1:
         raise ValueError("stride must be positive")
-    n = F.degree
     top = degc_bound // stride + 1
-
-    def value_at(c0: int) -> IntPoly:
-        fc = [F.coeff(i)(c0) for i in range(n + 1)]
-        gc = [G.coeff(i)(c0) for i in range(len(G.coeffs))]
-        return charpoly_int(fc, gc, m)
-
-    values = [value_at(c0) for c0 in range(top + 1)]
+    values = [charpoly_int(F.specialize_c_int(c0).coeffs,
+                           G.specialize_c_int(c0).coeffs, m)
+              for c0 in range(top + 1)]
     try:
         result = interpolate_intpolys(values[:-1], "x", F.cvar, stride)
     except DivisionNotExact as exc:

@@ -24,6 +24,21 @@ import json
 from .polycore import BiPoly, IntPoly
 
 
+def _descending(coeffs) -> list[tuple]:
+    """(exponent, coefficient) of the nonzero coeffs, exponent descending."""
+    return [(e, coeffs[e]) for e in range(len(coeffs) - 1, -1, -1)
+            if coeffs[e]]
+
+
+def _variables(obj) -> list[str]:
+    """The variable names, c first for a BiPoly."""
+    if isinstance(obj, IntPoly):
+        return [obj.var]
+    if isinstance(obj, BiPoly):
+        return [obj.cvar, obj.main_var]
+    raise ValueError("expected an IntPoly or a BiPoly")
+
+
 def poly_terms(obj) -> list[tuple]:
     """Nonzero terms in canonical order.
 
@@ -32,76 +47,51 @@ def poly_terms(obj) -> list[tuple]:
     descending, then c exponent descending.
     """
     if isinstance(obj, IntPoly):
-        return [(e, a) for e in range(len(obj.coeffs) - 1, -1, -1)
-                if (a := obj.coeff(e)) != 0]
+        return _descending(obj.coeffs)
     if isinstance(obj, BiPoly):
-        out = []
-        for i in range(len(obj.coeffs) - 1, -1, -1):
-            a = obj.coeff(i)
-            for e in range(len(a.coeffs) - 1, -1, -1):
-                if a.coeff(e) != 0:
-                    out.append((e, i, a.coeff(e)))
-        return out
+        return [(ec, em, a) for em, col in _descending(obj.coeffs)
+                for ec, a in _descending(col.coeffs)]
     raise ValueError("poly_terms expects IntPoly or BiPoly")
 
 
 def encode_json(obj) -> str:
-    if isinstance(obj, IntPoly):
-        doc = {"var": [obj.var],
-               "terms": [{"exps": [e], "coef": str(a)}
-                         for e, a in poly_terms(obj)]}
-    elif isinstance(obj, BiPoly):
-        doc = {"var": [obj.cvar, obj.main_var],
-               "terms": [{"exps": [ec, em], "coef": str(a)}
-                         for ec, em, a in poly_terms(obj)]}
-    else:
-        raise ValueError("encode_json expects IntPoly or BiPoly")
+    doc = {"var": _variables(obj),
+           "terms": [{"exps": list(t[:-1]), "coef": str(t[-1])}
+                     for t in poly_terms(obj)]}
     return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _dense(pairs) -> list[int]:
+    """Ascending coefficients from (exponent, coefficient) pairs; a
+    repeated exponent sums."""
+    out = [0] * (max((e for e, _ in pairs), default=-1) + 1)
+    for e, a in pairs:
+        out[e] += a
+    return out
 
 
 def decode_json(text: str):
     doc = json.loads(text)
     names = doc["var"]
+    terms = [(t["exps"], int(t["coef"])) for t in doc["terms"]]
+    if any(e < 0 for exps, _ in terms for e in exps):
+        raise ValueError("negative exponent")
     if len(names) == 1:
-        coeffs: dict[int, int] = {}
-        for term in doc["terms"]:
-            (e,) = term["exps"]
-            coeffs[e] = coeffs.get(e, 0) + int(term["coef"])
-        size = max(coeffs, default=-1) + 1
-        out = [0] * size
-        for e, a in coeffs.items():
-            out[e] = a
-        return IntPoly(out, names[0])
+        return IntPoly(_dense([(e, a) for (e,), a in terms]), names[0])
     if len(names) == 2:
         cvar, main = names
-        bump: dict[tuple[int, int], int] = {}
-        for term in doc["terms"]:
-            ec, em = term["exps"]
-            bump[(em, ec)] = bump.get((em, ec), 0) + int(term["coef"])
-        degm = max((em for em, _ in bump), default=-1)
-        cols = []
-        for i in range(degm + 1):
-            degc = max((ec for em, ec in bump if em == i), default=-1)
-            col = [0] * (degc + 1)
-            for (em, ec), a in bump.items():
-                if em == i:
-                    col[ec] = a
-            cols.append(IntPoly(col, cvar))
-        return BiPoly(cols, main, cvar)
+        cols: dict[int, list] = {}
+        for (ec, em), a in terms:
+            cols.setdefault(em, []).append((ec, a))
+        return BiPoly([IntPoly(_dense(cols.get(i, [])), cvar)
+                       for i in range(max(cols, default=-1) + 1)],
+                      main, cvar)
     raise ValueError("expected one or two variable names")
 
 
 def encode_csv(obj) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if isinstance(obj, IntPoly):
-        writer.writerow(["e_%s" % obj.var, "coef"])
-        for e, a in poly_terms(obj):
-            writer.writerow([e, a])
-    elif isinstance(obj, BiPoly):
-        writer.writerow(["e_%s" % obj.cvar, "e_%s" % obj.main_var, "coef"])
-        for ec, em, a in poly_terms(obj):
-            writer.writerow([ec, em, a])
-    else:
-        raise ValueError("encode_csv expects IntPoly or BiPoly")
+    writer.writerow(["e_%s" % v for v in _variables(obj)] + ["coef"])
+    writer.writerows(poly_terms(obj))
     return buf.getvalue()

@@ -1,12 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from dynres.errors import DivisionNotExact, NotPerfectPower
+from dynres.families import Family, orbit_product
 from dynres.polycore import (
     BiPoly,
     IntPoly,
-    eval_at_bipoly,
     interpolate_intpolys,
     nth_root,
 )
@@ -86,6 +87,38 @@ def test_bipoly_compose_and_eval():
     assert ff == z ** 4 + 2 * c * z ** 2 + c * c + c
     assert f.eval_main_int(1).coeffs == (1, 1)
     assert f.specialize_c_int(2) == IntPoly([2, 0, 1], "z")
+    # an integer polynomial, lifted, composed with a BiPoly argument
+    assert BiPoly([1, 0, 1], "x").compose(z + c) == (z + c) * (z + c) + 1
+
+
+def test_cleared_eval():
+    rng = random.Random(5)
+    for _ in range(40):
+        size = rng.randint(0, 6)
+        p = IntPoly([rng.randint(-9, 9) for _ in range(size)], "x")
+        num, den = rng.randint(-20, 20), rng.randint(1, 7)
+        t = Fraction(num, den)
+        for n in (len(p.coeffs) - 1, len(p.coeffs) + 2):
+            if n < 0:
+                continue
+            exact = sum(Fraction(a) * t ** i for i, a in enumerate(p.coeffs))
+            value = p.cleared_eval(num, den, n)
+            assert isinstance(value, int)
+            assert value == exact * den ** n
+            # den > 0, so the sign is the sign of p(num/den)
+            assert (value > 0) == (exact > 0) and (value < 0) == (exact < 0)
+    with pytest.raises(ValueError):
+        IntPoly([1, 2, 3], "x").cleared_eval(1, 2, 1)
+    # F_k of (z - c) z^d + c at dc/(d+1), against the term-by-term sum
+    for d in (1, 2):
+        for k in (1, 2):
+            P = orbit_product(Family("shifted", d), BiPoly.gen("z"), k) - 1
+            num, den, n = IntPoly((0, d), "c"), d + 1, P.degree
+            value = P.cleared_eval(num, den, n)
+            assert value == sum((a * num ** i * den ** (n - i)
+                                 for i, a in enumerate(P.coeffs)),
+                                IntPoly((), "c"))
+            assert isinstance(value, IntPoly) and value.var == "c"
 
 
 def test_bipoly_rem_monic():
@@ -114,13 +147,6 @@ def test_bipoly_scale_c():
     f = z + c
     assert f.scale_c(IntPoly.const(3, "c")) == 3 * z + 3 * c
     assert f.scale_c(IntPoly([0, 1], "c")) == c * z + c * c
-
-
-def test_eval_at_bipoly():
-    p = IntPoly([1, 0, 1], "x")  # 1 + x^2
-    z = BiPoly.gen("z")
-    c = BiPoly.cgen("z")
-    assert eval_at_bipoly(p, z + c) == (z + c) * (z + c) + 1
 
 
 def test_nth_root_exact():

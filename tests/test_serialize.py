@@ -50,6 +50,15 @@ def test_decode_preserves_names():
     assert (q.cvar, q.main_var) == ("a", "y")
     with pytest.raises(ValueError):
         decode_json('{"var":["a","b","c"],"terms":[]}')
+    # a negative exponent is refused, not folded into another term
+    for doc in ('{"var":["c"],"terms":[{"exps":[2],"coef":"1"},'
+                '{"exps":[-1],"coef":"5"}]}',
+                '{"var":["c","x"],"terms":[{"exps":[1,1],"coef":"1"},'
+                '{"exps":[-1,1],"coef":"5"}]}',
+                '{"var":["c","x"],"terms":[{"exps":[1,1],"coef":"1"},'
+                '{"exps":[1,-1],"coef":"5"}]}'):
+        with pytest.raises(ValueError):
+            decode_json(doc)
 
 
 def test_encode_csv():
@@ -57,6 +66,9 @@ def test_encode_csv():
         "e_c,coef\n2,-3\n0,7\n")
     assert encode_csv(X * X - 2 * C * X) == (
         "e_c,e_x,coef\n0,2,1\n1,1,-2\n")
+    # the zero polynomial is the header alone
+    assert encode_csv(IntPoly((), "c")) == "e_c,coef\n"
+    assert encode_csv(BiPoly.const(0, "x")) == "e_c,e_x,coef\n"
     with pytest.raises(ValueError):
         encode_csv(12)
 
