@@ -5,6 +5,7 @@ import pytest
 
 from dynres.errors import DivisionNotExact, NotPerfectPower
 from dynres.families import Family, orbit_product
+from dynres.invariants import lift_to_x
 from dynres.polycore import (
     BiPoly,
     IntPoly,
@@ -87,8 +88,14 @@ def test_bipoly_compose_and_eval():
     assert ff == z ** 4 + 2 * c * z ** 2 + c * c + c
     assert f.eval_main_int(1).coeffs == (1, 1)
     assert f.specialize_c_int(2) == IntPoly([2, 0, 1], "z")
+
+
+def test_eval_at_bipoly():
     # an integer polynomial, lifted, composed with a BiPoly argument
-    assert BiPoly([1, 0, 1], "x").compose(z + c) == (z + c) * (z + c) + 1
+    p = IntPoly([1, 0, 1], "x")  # 1 + x^2
+    z = BiPoly.gen("z")
+    c = BiPoly.cgen("z")
+    assert lift_to_x(p).compose(z + c) == (z + c) * (z + c) + 1
 
 
 def test_cleared_eval():
