@@ -104,127 +104,12 @@ def cmd_polygon(args: argparse.Namespace) -> int:
 # verify
 
 
-def _suite_integrality() -> list[Verdict]:
-    plan = [("unicritical", 2, 4),
-            ("unicritical", 3, 3),
-            ("linearterm", 1, 4),
-            ("linearterm", 2, 3),
-            ("shifted", 1, 3),
-            ("shifted", 2, 2)]
-    out = []
-    for kind, d, m_max in plan:
-        fam = Family(kind, d)
-        for m in range(1, m_max + 1):
-            out.append(inv.integrality_check(fam, m))
-            out.append(inv.monicness_check(fam, m))
-    return out
-
-
-def _suite_rescaled_monic() -> list[Verdict]:
-    out = []
-    fam = Family("unicritical", 2)
-    for n in range(1, 7):
-        for m in divisors(n):
-            out.append(inv.psi_monicness_check(fam, n, m))
-    fam = Family("unicritical", 3)
-    for n in range(1, 4):
-        for m in divisors(n):
-            out.append(inv.psi_monicness_check(fam, n, m))
-    return out
-
-
-def _suite_cyclotomic_units() -> list[Verdict]:
-    fam = Family("unicritical", 2)
-    out = []
-    for n in range(2, 7):
-        for m in divisors(n):
-            if m < n:
-                out.append(inv.morton_vivaldi_check(fam, n, m))
-    return out
-
-
-def _suite_degrees() -> list[Verdict]:
-    fam = Family("unicritical", 2)
-    out = []
-    for n in range(1, 7):
-        out.extend(inv.degree_formula_check(fam, n))
-    return out
-
-
-def _suite_leading_terms() -> list[Verdict]:
-    out = []
-    for d in (2, 3):
-        fam = Family("unicritical", d)
-        for k in (1, 2):
-            for m in (1, 2):
-                out.append(inv.unicritical_res_lt_check(fam, k, m))
-        for m in range(1, 4):
-            out.append(inv.unicritical_delta_lt_check(fam, m))
-    for d in (1, 2):
-        for k, m in ((1, 1), (1, 2), (2, 2)):
-            out.append(inv.aux_leading_term_check(d, k, m))
-            out.append(inv.aux_shifted_leading_check(d, k, m))
-        out.extend(inv.cleared_eval_lt_check(d, 2))
-    for d in (1, 2, 3):
-        for n in range(2, 7):
-            out.append(inv.quadcrit_lt_check(d, n))
-        out.append(inv.quadcrit_closed_form_check(d))
-    for n in (2, 3, 5, 6, 7):
-        out.append(inv.cyclotomic_prime_check(n))
-    return out
-
-
-def _suite_structure() -> list[Verdict]:
-    out = [conjugacy_check(2), conjugacy_check(3)]
-    for d in (1, 2):
-        for k, m in ((1, 1), (1, 2), (2, 2), (1, 3), (3, 3)):
-            out.extend(inv.linearterm_structure_checks(d, k, m))
-            out.extend(inv.shifted_structure_checks(d, k, m))
-        for m in (1, 2, 3):
-            out.append(inv.delta_aux_product_check("linearterm", d, m))
-            out.append(inv.delta_aux_product_check("shifted", d, m))
-        for k, m in ((1, 2), (2, 2), (1, 3), (3, 3)):
-            out.append(inv.aux_integrality_check("linearterm", d, k, m))
-            out.append(inv.aux_integrality_check("shifted", d, k, m))
-    fam = Family("unicritical", 2)
-    for k, m in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 4), (2, 6), (3, 3)):
-        out.append(inv.dynatomic_equality_check(fam, k, m))
-    out.append(inv.coprime_product_check(fam, 2, 3))
-    out.append(inv.coprime_product_check(fam, 3, 2))
-    return out
-
-
-def _suite_newton() -> list[Verdict]:
-    out = []
-    for d, k_max in ((2, 5), (3, 3)):
-        for k in range(1, k_max + 1):
-            out.append(newton.iterate_polygon_check(d, k))
-    for d, m_max in ((2, 4), (3, 3)):
-        for m in range(1, m_max + 1):
-            out.append(newton.delta_polygon_check(d, m))
-    for k, m in ((1, 1), (1, 2), (2, 2), (2, 4)):
-        out.append(newton.resultant_polygon_check(2, k, m))
-    for d in (1, 2):
-        for k in range(1, 4):
-            out.extend(newton.orbit_slope_bound_check(d, k))
-            out.extend(newton.linear_resultant_polygon_check(d, k))
-    return out
-
-
-def _suite_dual_route() -> list[Verdict]:
-    plan = [("unicritical", 2, 3), ("linearterm", 1, 3),
-            ("shifted", 1, 2), ("quadcrit", 1, 2),
-            ("unicritical", 3, 2), ("linearterm", 2, 2),
-            ("shifted", 2, 2), ("quadcrit", 2, 2)]
-    out = []
-    for kind, d, m_max in plan:
-        fam = Family(kind, d)
-        for m in range(1, m_max + 1):
-            out.append(Verdict.identity(
-                "multiplier-route-agreement",
-                {"family": fam.label(), "m": m},
-                multiplier_poly(fam, m).delta, multiplier_via_product(fam, m)))
-    return out
+def _route_agreement(fam: Family, m: int) -> Verdict:
+    """delta_m by the production route against the fixed-point route."""
+    return Verdict.identity("multiplier-route-agreement",
+                            {"family": fam.label(), "m": m},
+                            multiplier_poly(fam, m).delta,
+                            multiplier_via_product(fam, m))
 
 
 def golden_recompute(meta: dict) -> str:
@@ -242,7 +127,8 @@ def golden_recompute(meta: dict) -> str:
     raise ValueError("unknown golden object %r" % kind)
 
 
-def _suite_goldens() -> list[Verdict]:
+def _golden_checks() -> list[Verdict]:
+    """One verdict per golden file: its canonical text recomputed."""
     from importlib import resources
 
     out = []
@@ -256,26 +142,123 @@ def _suite_goldens() -> list[Verdict]:
     return out
 
 
-SUITES = {
-    "integrality": _suite_integrality,
-    "rescaled-monic": _suite_rescaled_monic,
-    "cyclotomic-units": _suite_cyclotomic_units,
-    "degrees": _suite_degrees,
-    "leading-terms": _suite_leading_terms,
-    "structure": _suite_structure,
-    "newton": _suite_newton,
-    "dual-route": _suite_dual_route,
-    "goldens": _suite_goldens,
-}
+def verify_plan() -> dict[str, list[tuple]]:
+    """The verify suites in run order, each a list of (check, args) in
+    run order; a check returns a Verdict or a list of Verdicts."""
+    plan: dict[str, list[tuple]] = {}
+
+    def suite(name: str):
+        """A new suite, and the function that adds a check to it."""
+        entries = plan[name] = []
+        return lambda check, *args: entries.append((check, args))
+
+    add = suite("integrality")
+    for kind, d, m_max in (("unicritical", 2, 4),
+                           ("unicritical", 3, 3),
+                           ("linearterm", 1, 4),
+                           ("linearterm", 2, 3),
+                           ("shifted", 1, 3),
+                           ("shifted", 2, 2)):
+        fam = Family(kind, d)
+        for m in range(1, m_max + 1):
+            add(inv.integrality_check, fam, m)
+            add(inv.monicness_check, fam, m)
+
+    add = suite("rescaled-monic")
+    for d, n_max in ((2, 6), (3, 3)):
+        fam = Family("unicritical", d)
+        for n in range(1, n_max + 1):
+            for m in divisors(n):
+                add(inv.psi_monicness_check, fam, n, m)
+
+    u2 = Family("unicritical", 2)
+    add = suite("cyclotomic-units")
+    for n in range(2, 7):
+        for m in divisors(n):
+            if m < n:
+                add(inv.morton_vivaldi_check, u2, n, m)
+
+    add = suite("degrees")
+    for n in range(1, 7):
+        add(inv.degree_formula_check, u2, n)
+
+    add = suite("leading-terms")
+    for d in (2, 3):
+        fam = Family("unicritical", d)
+        for k in (1, 2):
+            for m in (1, 2):
+                add(inv.unicritical_res_lt_check, fam, k, m)
+        for m in range(1, 4):
+            add(inv.unicritical_delta_lt_check, fam, m)
+    for d in (1, 2):
+        for k, m in ((1, 1), (1, 2), (2, 2)):
+            add(inv.aux_leading_term_check, d, k, m)
+            add(inv.aux_shifted_leading_check, d, k, m)
+        add(inv.cleared_eval_lt_check, d, 2)
+    for d in (1, 2, 3):
+        for n in range(2, 7):
+            add(inv.quadcrit_lt_check, d, n)
+        add(inv.quadcrit_closed_form_check, d)
+    for n in (2, 3, 5, 6, 7):
+        add(inv.cyclotomic_prime_check, n)
+
+    add = suite("structure")
+    add(conjugacy_check, 2)
+    add(conjugacy_check, 3)
+    for d in (1, 2):
+        for k, m in ((1, 1), (1, 2), (2, 2), (1, 3), (3, 3)):
+            add(inv.linearterm_structure_checks, d, k, m)
+            add(inv.shifted_structure_checks, d, k, m)
+        for m in (1, 2, 3):
+            add(inv.delta_aux_product_check, "linearterm", d, m)
+            add(inv.delta_aux_product_check, "shifted", d, m)
+        for k, m in ((1, 2), (2, 2), (1, 3), (3, 3)):
+            add(inv.aux_integrality_check, "linearterm", d, k, m)
+            add(inv.aux_integrality_check, "shifted", d, k, m)
+    for k, m in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 4), (2, 6), (3, 3)):
+        add(inv.dynatomic_equality_check, u2, k, m)
+    add(inv.coprime_product_check, u2, 2, 3)
+    add(inv.coprime_product_check, u2, 3, 2)
+
+    add = suite("newton")
+    for d, k_max in ((2, 5), (3, 3)):
+        for k in range(1, k_max + 1):
+            add(newton.iterate_polygon_check, d, k)
+    for d, m_max in ((2, 4), (3, 3)):
+        for m in range(1, m_max + 1):
+            add(newton.delta_polygon_check, d, m)
+    for k, m in ((1, 1), (1, 2), (2, 2), (2, 4)):
+        add(newton.resultant_polygon_check, 2, k, m)
+    for d in (1, 2):
+        for k in range(1, 4):
+            add(newton.orbit_slope_bound_check, d, k)
+            add(newton.linear_resultant_polygon_check, d, k)
+
+    add = suite("dual-route")
+    for kind, d, m_max in (("unicritical", 2, 3), ("linearterm", 1, 3),
+                           ("shifted", 1, 2), ("quadcrit", 1, 2),
+                           ("unicritical", 3, 2), ("linearterm", 2, 2),
+                           ("shifted", 2, 2), ("quadcrit", 2, 2)):
+        fam = Family(kind, d)
+        for m in range(1, m_max + 1):
+            add(_route_agreement, fam, m)
+
+    add = suite("goldens")
+    add(_golden_checks)
+    return plan
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    plan = verify_plan()
+    names = list(plan) if args.suite == "all" else [args.suite]
     verdicts = []
     clocks = {}
     for name in names:
         t0 = time.perf_counter()
-        batch = SUITES[name]()
+        batch = []
+        for check, check_args in plan[name]:
+            result = check(*check_args)
+            batch.extend(result if isinstance(result, list) else [result])
         clocks[name] = round(time.perf_counter() - t0, 3)
         for v in batch:
             print(v.line())
@@ -359,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_polygon)
 
     p = sub.add_parser("verify", help="run identity check suites")
-    p.add_argument("--suite", choices=sorted(SUITES) + ["all"],
+    p.add_argument("--suite", choices=sorted(verify_plan()) + ["all"],
                    default="all")
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=cmd_verify)

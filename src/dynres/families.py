@@ -220,6 +220,12 @@ def multiplier_degc_bound(fam: Family, m: int) -> int:
                             fam.map_poly.derivative(), m, m)
 
 
+# The cache sits on this private function rather than on multiplier_poly:
+# each call of multiplier_poly returns a MultiplierResult of its own, a
+# mutable dataclass that a cache would share between callers.  And the
+# benchmark's tracer wraps public functions to time them, then tells that
+# its wrappers are gone by multiplier_poly having no __wrapped__, an
+# attribute lru_cache would add.
 @functools.lru_cache(maxsize=None)
 def _multiplier_cached(fam: Family, m: int) -> BiPoly:
     phi = dynatomic(fam, m)

@@ -354,7 +354,7 @@ class AuxShifted:
     k: int
     m: int
     H_k: BiPoly           # (F_k + 1)^d - 1
-    G: BiPoly             # (F_m + 1)^(d-1) * cleared_m
+    G: BiPoly             # (ftil^m)', which is (F_m + 1)^(d-1) * cleared_m
     R: BiPoly             # Res_z(H_k, x - G)
 
 
@@ -415,9 +415,9 @@ def aux_shifted(d: int, k: int, m: int) -> AuxShifted:
         raise ValueError("need k | m")
     F_k = _orbit_product(d, k) - 1
     H_k = (F_k + 1) ** d - 1
-    G = (_orbit_product(d, m)) ** (d - 1) * _cleared_product(d, m)
-    ftil = Family("shifted", d).map_poly
-    bound = orbit_degc_bound(H_k, ftil.derivative(), m)
+    fam = Family("shifted", d)
+    G = multiplier_derivative(fam, m)
+    bound = orbit_degc_bound(H_k, fam.map_poly.derivative(), m)
     R = charpoly_interp(H_k, G, degc_bound=bound, stride=d)
     return AuxShifted(d=d, k=k, m=m, H_k=H_k, G=G, R=R)
 
@@ -463,10 +463,14 @@ def shifted_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
     out.append(Verdict.identity("orbit-product-identity",
                                 {"family": fam.label(), "k": k},
                                 fk, (z - c) * aux.H_k))
+    # aux.G is this cached product; the right-hand side builds it again
+    # from the orbit products, independently.
     deriv = multiplier_derivative(fam, m)
     out.append(Verdict.identity("derivative-product-identity",
                                 {"family": fam.label(), "m": m},
-                                deriv, aux.G))
+                                deriv,
+                                _orbit_product(d, m) ** (d - 1)
+                                * _cleared_product(d, m)))
 
     res = fixed_point_resultant(fam, k, m)
     x = BiPoly.gen("x")

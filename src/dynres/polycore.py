@@ -6,10 +6,13 @@ trailing zeros stripped.  ``BiPoly`` is a polynomial in a main variable
 (``z`` while iterating maps, ``x`` for multiplier polynomials) whose
 coefficients are ``IntPoly`` values in the parameter ``c``.  Both take
 their ring operations and exact division from ``_Dense``, and share one
-product kernel ``_polymul``, one remainder kernel ``_polyrem_monic``
-and one Horner loop ``_horner``, which work on coefficient lists of
-ints and of IntPolys alike; one long-division loop ``_Dense._divmod``
-is behind ``exact_div`` and the IntPoly pseudo-remainder ``prem``.
+product kernel ``_polymul``, one division kernel ``_divmod``, one
+Horner loop ``_horner`` and one term order ``_descending``, which work
+on coefficient lists of ints and of IntPolys alike.  ``_divmod`` is
+behind ``exact_div``, the IntPoly pseudo-remainder ``prem``, the
+BiPoly remainder ``rem_monic`` and the multiplication matrices of
+``resultants``; ``_descending`` is behind both ``__str__`` methods and
+``serialize.poly_terms``.
 Evaluation at a rational point is ``_Dense.cleared_eval``, one
 homogeneous Horner loop for den^n P(num/den): an integer for an
 IntPoly at integers, a c-polynomial for a BiPoly at a polynomial in c.
@@ -55,19 +58,32 @@ def _polymul(a: Sequence, b: Sequence, zero=0) -> list:
     return out
 
 
-def _polyrem_monic(a: Sequence, f: Sequence) -> list:
-    """Remainder of a modulo the monic f, as ascending lists of ints or
-    of IntPolys; at most deg f entries, trailing zeros kept."""
-    n = len(f) - 1
-    low = [(j, b) for j, b in enumerate(f[:n]) if b]
-    a = list(a)
-    for i in range(len(a) - 1, n - 1, -1):
-        top = a[i]
+def _divmod(a: Sequence, b: Sequence, cdiv=None) -> tuple[list, list]:
+    """Long division of a by the nonzero b, ascending lists of ints or
+    of IntPolys: the quotient, and the remainder in deg b entries with
+    trailing zeros kept.  Each quotient coefficient is the exact
+    cdiv(top, lc b); cdiv None asserts a monic b, whose quotient
+    coefficient is the top coefficient itself."""
+    n = len(b) - 1
+    low = [(j, y) for j, y in enumerate(b[:n]) if y]
+    rem = list(a)
+    q = [0] * max(len(rem) - n, 0)
+    for i in range(len(rem) - 1, n - 1, -1):
+        top = rem[i]
         if top:
-            for j, b in low:
-                a[i - n + j] -= top * b
-    del a[n:]
-    return a
+            if cdiv is not None:
+                top = cdiv(top, b[n])
+            q[i - n] = top
+            for j, y in low:
+                rem[i - n + j] -= top * y
+    del rem[n:]
+    return q, rem
+
+
+def _descending(coeffs: Sequence) -> list[tuple]:
+    """(exponent, coefficient) of the nonzero coeffs, exponent descending."""
+    return [(e, coeffs[e]) for e in range(len(coeffs) - 1, -1, -1)
+            if coeffs[e]]
 
 
 def _horner(coeffs: Sequence, value, acc):
@@ -83,8 +99,9 @@ class _Dense:
     with trailing zeros stripped.
 
     A subclass supplies ``_new`` (a polynomial of its own kind and
-    variables), ``_coerce``, ``_czero`` (its zero coefficient) and
-    ``_cdiv`` (exact division of one coefficient by another).
+    variables), ``_coerce``, ``_czero`` (its zero coefficient), ``_cdiv``
+    (exact division of one coefficient by another) and ``_term`` (the
+    text of one term).
     """
 
     coeffs: tuple
@@ -154,32 +171,24 @@ class _Dense:
             n >>= 1
         return result
 
-    def _divmod(self, divisor) -> tuple[list, list]:
-        """Quotient and remainder lists of long division; each quotient
-        coefficient is one exact ``_cdiv``."""
-        if divisor.is_zero:
-            raise ZeroPolynomial("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dd = len(divisor.coeffs) - 1
-        dl = divisor.coeffs[-1]
-        q = [self._czero] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            if rem[i]:
-                qc = q[i - dd] = self._cdiv(rem[i], dl)
-                for j, b in enumerate(divisor.coeffs):
-                    rem[i - dd + j] -= qc * b
-        return q, rem
-
     def exact_div(self, divisor):
         """Exact quotient in the same ring; raises DivisionNotExact
         otherwise."""
-        q, rem = self._divmod(divisor)
+        if divisor.is_zero:
+            raise ZeroPolynomial("division by the zero polynomial")
+        q, rem = _divmod(self.coeffs, divisor.coeffs, self._cdiv)
         if any(rem):
             raise DivisionNotExact("nonzero remainder")
         return self._new(q)
 
     def derivative(self):
         return self._new([a * i for i, a in enumerate(self.coeffs)][1:])
+
+    def __str__(self) -> str:
+        """The nonzero terms, highest first, each written by the
+        subclass's ``_term(exponent, coefficient)``; "0" for zero."""
+        terms = [self._term(i, a) for i, a in _descending(self.coeffs)]
+        return " + ".join(terms).replace("+ -", "- ") or "0"
 
     def cleared_eval(self, num, den: int, n: int):
         """den^n * self(num/den) for n at least deg self, by one
@@ -216,7 +225,11 @@ class IntPoly(_Dense):
     _czero = 0
 
     def __init__(self, coeffs: Iterable[int] = (), var: str = "t"):
-        self.coeffs = _strip([int(a) for a in coeffs])
+        coeffs = list(coeffs)
+        for a in coeffs:
+            if type(a) is not int:
+                raise ValueError("IntPoly coefficient %r is not an int" % a)
+        self.coeffs = _strip(coeffs)
         # Display tag only; it takes no part in equality or hashing.
         self.var = var
 
@@ -250,7 +263,8 @@ class IntPoly(_Dense):
         """Remainder of |lc divisor|^(deg self - deg divisor + 1) * self,
         a positive multiple of the remainder over Q; all steps exact."""
         k = max(len(self.coeffs) - len(divisor.coeffs) + 1, 0)
-        return self._new((self * abs(divisor.lc) ** k)._divmod(divisor)[1])
+        scaled = self * abs(divisor.lc) ** k
+        return self._new(_divmod(scaled.coeffs, divisor.coeffs, self._cdiv)[1])
 
     def primitive(self) -> "IntPoly":
         """self divided by the positive gcd of its coefficients."""
@@ -261,26 +275,13 @@ class IntPoly(_Dense):
         """Evaluate by Horner's rule at an integer."""
         return _horner(self.coeffs, value, 0)
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            if i == 0:
-                mono = str(a)
-            else:
-                var = self.var if i == 1 else "%s^%d" % (self.var, i)
-                if a == 1:
-                    mono = var
-                elif a == -1:
-                    mono = "-" + var
-                else:
-                    mono = "%d*%s" % (a, var)
-            parts.append(mono)
-        return " + ".join(parts).replace("+ -", "- ")
+    def _term(self, i: int, a: int) -> str:
+        if i == 0:
+            return str(a)
+        var = self.var if i == 1 else "%s^%d" % (self.var, i)
+        if a in (1, -1):
+            return var if a == 1 else "-" + var
+        return "%d*%s" % (a, var)
 
 
 @dataclasses.dataclass(init=False, eq=True)
@@ -360,7 +361,7 @@ class BiPoly(_Dense):
         """Remainder modulo a polynomial monic in the main variable."""
         if not mod.is_monic:
             raise ValueError("modulus must be monic in the main variable")
-        return self._new(_polyrem_monic(self.coeffs, mod.coeffs))
+        return self._new(_divmod(self.coeffs, mod.coeffs)[1])
 
     def compose(self, inner: "BiPoly") -> "BiPoly":
         """Substitute inner for the main variable."""
@@ -380,21 +381,11 @@ class BiPoly(_Dense):
         """Multiply by a polynomial in c alone."""
         return BiPoly([a * s for a in self.coeffs], self.main_var, self.cvar)
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            a = self.coeffs[i]
-            if a.is_zero:
-                continue
-            if i == 0:
-                parts.append("(%s)" % a)
-            elif i == 1:
-                parts.append("(%s)*%s" % (a, self.main_var))
-            else:
-                parts.append("(%s)*%s^%d" % (a, self.main_var, i))
-        return " + ".join(parts)
+    def _term(self, i: int, a: IntPoly) -> str:
+        if i == 0:
+            return "(%s)" % a
+        var = self.main_var if i == 1 else "%s^%d" % (self.main_var, i)
+        return "(%s)*%s" % (a, var)
 
 
 def nth_root(p: BiPoly, n: int) -> BiPoly:

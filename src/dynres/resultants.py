@@ -51,7 +51,7 @@ from operator import mul
 
 from .errors import (BoundTooSmall, DivisionNotExact, NotPerfectPower,
                      ZeroPolynomial)
-from .polycore import (BiPoly, IntPoly, NewtonPolygon, _polyrem_monic,
+from .polycore import (BiPoly, IntPoly, NewtonPolygon, _divmod,
                        interpolate_intpolys)
 
 
@@ -94,18 +94,6 @@ def bareiss_det(rows, zero, one):
     if sign < 0:
         det = -det
     return det
-
-
-def det_intpoly(rows: list[list[IntPoly]], cvar: str = "c") -> IntPoly:
-    zero = IntPoly((), cvar)
-    one = IntPoly.const(1, cvar)
-    return bareiss_det(rows, zero, one)
-
-
-def det_bipoly(rows: list[list[BiPoly]], cvar: str = "c") -> BiPoly:
-    zero = BiPoly((), "x", cvar)
-    one = BiPoly.const(1, "x", cvar)
-    return bareiss_det(rows, zero, one)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +141,7 @@ def _multiplication_columns(gc: list[int], fc: list[int]) -> list[list[int]]:
     """
     n = len(fc) - 1
     low = fc[:n]
-    col = _polyrem_monic(gc, fc)
+    col = _divmod(gc, fc)[1]
     col += [0] * (n - len(col))
     cols = [col]
     for _ in range(n - 1):
@@ -242,8 +230,9 @@ def resultant_sylvester(F: BiPoly, G: BiPoly) -> IntPoly:
         return IntPoly.const(1, cvar)
     fc = [F.coeff(i) for i in range(n + 1)]
     gc = [G.coeff(i) for i in range(m + 1)]
-    rows = _sylvester_rows(fc, gc, IntPoly((), cvar))
-    return det_intpoly(rows, cvar)
+    zero = IntPoly((), cvar)
+    rows = _sylvester_rows(fc, gc, zero)
+    return bareiss_det(rows, zero, IntPoly.const(1, cvar))
 
 
 def charpoly_sylvester(F: BiPoly, G: BiPoly) -> BiPoly:
@@ -267,21 +256,17 @@ def charpoly_sylvester(F: BiPoly, G: BiPoly) -> BiPoly:
     hc = [-lift(G.coeff(i)) for i in range(m + 1)]
     hc[0] = hc[0] + BiPoly((0, 1), "x", cvar)
     rows = _sylvester_rows(fc, hc, zero)
-    return det_bipoly(rows, cvar)
+    return bareiss_det(rows, zero, BiPoly.const(1, "x", cvar))
 
 
 # ---------------------------------------------------------------------------
 # Res(F, x - G) by evaluation and interpolation
 
 
-def _degc(p: BiPoly) -> int:
-    d = p.deg_c
-    return 0 if d is None else d
-
-
 def degc_cap(F: BiPoly, G: BiPoly) -> int:
     """Safe c-degree bound for Res(F, G) straight from the Sylvester shape."""
-    return _degc(F) * max(G.degree or 0, 1) + _degc(G) * max(F.degree or 0, 1)
+    return ((F.deg_c or 0) * max(G.degree or 0, 1)
+            + (G.deg_c or 0) * max(F.degree or 0, 1))
 
 
 def orbit_degc_bound(F: BiPoly, h: BiPoly, steps: int,

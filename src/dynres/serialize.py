@@ -21,13 +21,7 @@ import csv
 import io
 import json
 
-from .polycore import BiPoly, IntPoly
-
-
-def _descending(coeffs) -> list[tuple]:
-    """(exponent, coefficient) of the nonzero coeffs, exponent descending."""
-    return [(e, coeffs[e]) for e in range(len(coeffs) - 1, -1, -1)
-            if coeffs[e]]
+from .polycore import BiPoly, IntPoly, _descending
 
 
 def _variables(obj) -> list[str]:

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import shlex
@@ -6,7 +8,7 @@ import sys
 
 import pytest
 
-from dynres.cli import build_parser, main
+from dynres.cli import build_parser, main, verify_plan
 from dynres.parabolic import enumerate_candidates
 from dynres.report import Verdict
 
@@ -89,6 +91,20 @@ def test_verify_suite(tmp_path, capsys):
     verdicts = [Verdict(**v) for v in rep["verdicts"]]
     assert verdicts and all(v.passed for v in verdicts)
     assert rep["parameters"] == {"suite": "degrees"}
+
+
+def test_verify_plan_binds_and_names_the_suites():
+    # Every planned check accepts its arguments; no check is run.
+    plan = verify_plan()
+    for entries in plan.values():
+        assert entries
+        for check, args in entries:
+            inspect.signature(check).bind(*args)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions
+                 if a.dest == "suite")
+    assert set(plan) == set(suite.choices) - {"all"}
 
 
 def test_verify_goldens(capsys):

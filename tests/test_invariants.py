@@ -203,6 +203,19 @@ def test_power_support_checks_off_node_values(monkeypatch):
     assert verdict.residual == "differs from the charpoly at c = [-1, -2]"
 
 
+def test_derivative_product_identity_rebuilds_its_right_side(monkeypatch):
+    # aux_shifted takes G from multiplier_derivative, so the identity
+    # must build (F_m + 1)^(d-1) cleared_m anew: a corrupted cleared
+    # product fails it even with aux_shifted already cached.
+    aux_shifted(2, 1, 2)
+    real = invariants._cleared_product
+    monkeypatch.setattr(invariants, "_cleared_product",
+                        lambda d, m: real(d, m) + 1)
+    verdict = [v for v in shifted_structure_checks(2, 1, 2)
+               if v.check == "derivative-product-identity"][0]
+    assert not verdict.passed
+
+
 def test_leading_size_checks_take_either_sign(monkeypatch):
     # aux-leading-size and quadcrit-delta-leading-coefficient claim only
     # the size of the leading coefficient: a sign flip passes and is

@@ -42,6 +42,23 @@ def test_intpoly_division():
     # a divisor of higher degree leaves a nonzero remainder
     with pytest.raises(DivisionNotExact):
         IntPoly([1, 1], "c").exact_div(IntPoly([1, 0, 1], "c"))
+    # divisors with interior zero coefficients, monic and not
+    q = IntPoly([3, -1, 0, 2], "c")
+    for b in (IntPoly([1, 0, 0, 1], "c"), IntPoly([-2, 0, 5, 0, 3], "c")):
+        assert (q * b).exact_div(b) == q
+        with pytest.raises(DivisionNotExact):
+            (q * b + 1).exact_div(b)
+
+
+def test_intpoly_refuses_non_int_coefficients():
+    for bad in (Fraction(1, 2), 1.5, 2.9, Fraction(2, 1), True, "1"):
+        with pytest.raises(ValueError):
+            IntPoly([1, bad], "c")
+        with pytest.raises(ValueError):
+            IntPoly([bad])
+    # nothing is truncated on the way in
+    with pytest.raises(ValueError):
+        IntPoly([Fraction(1, 2), 1.5, 2.9], "c")
 
 
 def test_intpoly_pseudo_remainder():
@@ -146,6 +163,12 @@ def test_bipoly_exact_div():
     assert num.exact_div(z - c) == z * z + 3
     with pytest.raises(DivisionNotExact):
         (num + 1).exact_div(z - c)
+    # divisors with interior zero coefficients, monic and not
+    q = z * z * c - 2 * z + 1
+    for b in (z ** 3 - c, c * z ** 3 + 2 * z - 1):
+        assert (q * b).exact_div(b) == q
+        with pytest.raises(DivisionNotExact):
+            (q * b + z).exact_div(b)
 
 
 def test_bipoly_scale_c():

@@ -1,7 +1,7 @@
 """Randomized identities, exact equality on every case."""
 import random
 
-from dynres.polycore import BiPoly, IntPoly, _polyrem_monic, nth_root
+from dynres.polycore import BiPoly, IntPoly, _divmod, nth_root
 from dynres.resultants import (
     charpoly_int,
     charpoly_interp,
@@ -66,8 +66,8 @@ def test_resultant_specialization_commutes():
         # the remainder kernel on Z[c] coefficients, then c -> c0, equals
         # the same kernel on the integer coefficients at c0
         A = G ** 3
-        rem_int = _polyrem_monic(A.specialize_c_int(c0).coeffs,
-                                 F.specialize_c_int(c0).coeffs)
+        rem_int = _divmod(A.specialize_c_int(c0).coeffs,
+                          F.specialize_c_int(c0).coeffs)[1]
         assert A.rem_monic(F).specialize_c_int(c0) == IntPoly(rem_int, "z")
 
 

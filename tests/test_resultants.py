@@ -4,11 +4,11 @@ from dynres.errors import (BoundTooSmall, DivisionNotExact, NotPerfectPower,
                            ZeroPolynomial)
 from dynres.polycore import BiPoly, IntPoly
 from dynres.resultants import (
+    bareiss_det,
     charpoly_int,
     charpoly_interp,
     charpoly_sylvester,
     degc_cap,
-    det_intpoly,
     orbit_degc_bound,
     resultant,
     resultant_sylvester,
@@ -26,7 +26,7 @@ def test_det_int():
         return IntPoly.const(a, "c")
 
     def det(rows):
-        return det_intpoly([[k(a) for a in row] for row in rows], "c")
+        return bareiss_det([[k(a) for a in row] for row in rows], k(0), k(1))
 
     assert det([[1, 2], [3, 4]]) == k(-2)
     assert det([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == k(1)
@@ -38,7 +38,8 @@ def test_det_int():
 def test_det_intpoly():
     c = IntPoly.gen("c")
     one = IntPoly.const(1, "c")
-    assert det_intpoly([[c, one], [one, c]], "c") == c * c - 1
+    assert bareiss_det([[c, one], [one, c]], IntPoly((), "c"), one) \
+        == c * c - 1
 
 
 def test_resultant_sylvester_orientation():
