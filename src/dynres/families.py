@@ -15,19 +15,21 @@ and also builds the dynatomic polynomials of an iterate f^l from the
 cached iterates of f.  orbit_product multiplies a polynomial h along
 the orbit of z, and (f^m)' is the orbit product of f' over m steps.
 The multiplier polynomial delta_m, whose m-th power is
-Res_z(Phi*_m, x - (f^m)'), is interpolated in c from integer nodes by
-resultants.charpoly_interp.  At each node its power
-sums are the traces of ((f^m)')^k modulo Phi*_m divided by m, for k up
-to its x-degree, and Newton's identities turn them into delta_m; the
-number of nodes comes from the proven bound multiplier_degc_bound.  The
-fixed-point resultants Res_z(f^k - z, x - (f^m)') take the same route
-with orbit_degc_bound and are cached; their Moebius product and one
-exact m-th root give delta_m a second, independent time, in
-multiplier_via_product.  Conjugation by z -> zeta z sends c to a
-multiple of c and keeps every multiplier (c_stride), so the fixed-point
-resultants lie in Z[x][c^s] and are interpolated in C = c^s from about
-1/s of the nodes; delta_m lies there too, but is still interpolated
-in c.
+Res_z(Phi*_m, x - (f^m)'), the fixed-point resultants
+Res_z(f^k - z, x - (f^m)') and the shifted family's auxiliary
+resultants are all multiplier_resultant: Res_z(F, x - (f^m)') for a
+monic F whose roots f permutes, or its monic root-th root.  It is
+interpolated in c from integer nodes by resultants.charpoly_interp, and
+the number of nodes comes from the proven bound orbit_degc_bound.  At
+each node the power sums of the root are the traces of ((f^m)')^k
+modulo F divided by the root index, and Newton's identities turn them
+into its coefficients.  The fixed-point resultants are cached; their
+Moebius product and one exact m-th root give delta_m a second,
+independent time, in multiplier_via_product.  Conjugation by
+z -> zeta z sends c to a multiple of c and keeps every multiplier
+(c_stride), so the fixed-point resultants lie in Z[x][c^s] and are
+interpolated in C = c^s from about 1/s of the nodes; delta_m lies
+there too, but is still interpolated in c.
 
 Dynatomic degrees grow fast.  The functions here compute whatever they
 are asked for; the size guardrail DEGREE_CAP is checked where outside
@@ -176,22 +178,34 @@ def c_stride(fam: Family) -> int:
             "linearterm": 1}[fam.kind]
 
 
+def multiplier_resultant(fam: Family, F: BiPoly, m: int, root: int = 1,
+                         stride: int = 1) -> BiPoly:
+    """The monic root-th root of Res_z(F, x - (f^m)'), for F monic in z
+    with roots that f permutes; with stride s, interpolated in c^s.
+
+    (f^m)' is f' along m steps of the orbit of z, which f permutes among
+    the roots of F, so the nodes come from orbit_degc_bound(F, f', m,
+    root): each root sits on a slope t of F's Newton polygon and makes
+    f' O(|c|^v(t)) there, so the c-degree is at most m times the sum of
+    max(0, v) over the roots, divided by root.  Not cached: F is
+    unhashable, and every caller caches its own result.
+    """
+    bound = orbit_degc_bound(F, fam.map_poly.derivative(), m, root)
+    return charpoly_interp(F, multiplier_derivative(fam, m), degc_bound=bound,
+                           m=root, stride=stride)
+
+
 @functools.lru_cache(maxsize=None)
 def fixed_point_resultant(fam: Family, k: int, m: int) -> BiPoly:
     """Res_z(f^k - z, x - (f^m)'), the m-th iterate's multipliers at the
     points of period dividing k.
 
-    f permutes the roots of f^k - z and (f^m)' is f' along m steps of
-    that orbit, so the nodes come from orbit_degc_bound(f^k - z, f', m).
-    f^k - z is monic in z, so the resultant is the product of x - (f^m)'
-    over the points of period dividing k, symmetric in their
-    multipliers under f^m; by c_stride it lies in Z[x][c^s] with
+    f permutes the roots of f^k - z, and the resultant is symmetric in
+    their multipliers under f^m; by c_stride it lies in Z[x][c^s] with
     s = c_stride(fam), and it is interpolated in c^s.
     """
-    fk = iterate(fam, k) - BiPoly.gen("z")
-    bound = orbit_degc_bound(fk, fam.map_poly.derivative(), m)
-    return charpoly_interp(fk, multiplier_derivative(fam, m), degc_bound=bound,
-                           stride=c_stride(fam))
+    return multiplier_resultant(fam, iterate(fam, k) - BiPoly.gen("z"), m,
+                                stride=c_stride(fam))
 
 
 def multiplier_scale(fam: Family, m: int) -> int:
@@ -206,20 +220,6 @@ def multiplier_scale(fam: Family, m: int) -> int:
     return 1
 
 
-def multiplier_degc_bound(fam: Family, m: int) -> int:
-    """Proven bound on deg_c delta_m, from the size of its roots at c = oo.
-
-    delta_m is the monic m-th root of Res_z(Phi*_m, x - (f^m)'), and
-    (f^m)' is the product of f' along the orbit of z, which f permutes
-    among the roots of Phi*_m: orbit_degc_bound(Phi*_m, f', m, m).  Each
-    root of Phi*_m sits on a slope t of its Newton polygon and makes f'
-    O(|c|^v(t)) there, so deg_c delta_m is at most the sum of max(0, v)
-    over the roots.
-    """
-    return orbit_degc_bound(dynatomic(fam, m),
-                            fam.map_poly.derivative(), m, m)
-
-
 # The cache sits on this private function rather than on multiplier_poly:
 # each call of multiplier_poly returns a MultiplierResult of its own, a
 # mutable dataclass that a cache would share between callers.  And the
@@ -228,17 +228,17 @@ def multiplier_degc_bound(fam: Family, m: int) -> int:
 # attribute lru_cache would add.
 @functools.lru_cache(maxsize=None)
 def _multiplier_cached(fam: Family, m: int) -> BiPoly:
-    phi = dynatomic(fam, m)
-    omega = multiplier_derivative(fam, m)
-    return charpoly_interp(phi, omega, degc_bound=multiplier_degc_bound(fam, m),
-                           m=m)
+    return multiplier_resultant(fam, dynatomic(fam, m), m, root=m)
 
 
 def multiplier_poly(fam: Family, m: int) -> MultiplierResult:
     """delta_m: monic in x, the m-th root of Res_z(Phi*_m, x - (f^m)').
 
-    Interpolated through multiplier_degc_bound + 1 nodes in c, plus one
-    node that checks the bound; a mismatch raises BoundTooSmall.
+    f permutes the roots of Phi*_m in cycles of length m sharing one
+    (f^m)', so with root m the bound of multiplier_resultant is the sum
+    of max(0, v) over the roots of Phi*_m.  delta_m is interpolated
+    through that bound + 1 nodes in c, plus one node that checks the
+    bound; a mismatch raises BoundTooSmall.
     """
     delta = _multiplier_cached(fam, m)
     return MultiplierResult(m=m, delta=delta, scale=multiplier_scale(fam, m))

@@ -21,14 +21,13 @@ assumed.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
 from .errors import NotInSubring
 from .families import (Family, c_stride, dynatomic, fixed_point_resultant,
                        iterate, multiplier_derivative, multiplier_poly,
-                       multiplier_scale, orbit_product)
+                       multiplier_resultant, multiplier_scale, orbit_product)
 from .numtheory import (common_prime_part, cyclotomic, divisors,
                         dynatomic_degree, euler_phi, factorize,
                         moebius_product)
@@ -131,17 +130,8 @@ def degree_formula_check(fam: Family, n: int) -> list[Verdict]:
 # rescaled subrings
 
 
-def _rescale_params(fam: Family) -> tuple[int, int]:
-    """(stride, unit): the subring variable is unit * c**stride scaled,
-    with the stride that conjugation proves (families.c_stride)."""
-    if fam.kind == "quadcrit":
-        raise ValueError("no rescaling claim for the %s family" % fam.kind)
-    d = fam.d
-    return c_stride(fam), d if fam.kind == "linearterm" else d ** d
-
-
 def _extract_intpoly(p: IntPoly, stride: int, unit: int) -> IntPoly:
-    out: dict[int, int] = {}
+    coeffs: list[int] = []
     for e, a in enumerate(p.coeffs):
         if a == 0:
             continue
@@ -154,12 +144,7 @@ def _extract_intpoly(p: IntPoly, stride: int, unit: int) -> IntPoly:
             raise NotInSubring(
                 "coefficient %d at exponent %d is not divisible by %d**%d"
                 % (a, e, unit, j))
-        out[j] = q
-    if not out:
-        return IntPoly((), "C")
-    coeffs = [0] * (max(out) + 1)
-    for j, a in out.items():
-        coeffs[j] = a
+        coeffs += [0] * (j - len(coeffs)) + [q]
     return IntPoly(coeffs, "C")
 
 
@@ -171,7 +156,11 @@ def rescale_extract(obj, fam: Family):
     variable, and sign is +1 or -1 when psi is monic in that variable up
     to the reported sign, None otherwise.
     """
-    stride, unit = _rescale_params(fam)
+    if fam.kind == "quadcrit":
+        raise ValueError("no rescaling claim for the %s family" % fam.kind)
+    # The subring variable is unit * c**stride, stride from c_stride.
+    stride = c_stride(fam)
+    unit = fam.d if fam.kind == "linearterm" else fam.d ** fam.d
     if stride == 1 and unit == 1:
         psi = obj
     elif isinstance(obj, IntPoly):
@@ -338,26 +327,6 @@ def unicritical_delta_lt_check(fam: Family, m: int) -> Verdict:
 # auxiliary polynomials for z^(d+1) + cz and (z-c) z^d + c
 
 
-@dataclasses.dataclass(frozen=True)
-class AuxPolys:
-    d: int
-    k: int
-    m: int
-    F_k: BiPoly           # z * ftil(z) * ... * ftil^(k-1)(z) - 1
-    cleared: BiPoly       # prod over i < m of ((d+1) ftil^i(z) - dc)
-    R: BiPoly             # Res_z(F_k, x - cleared)
-
-
-@dataclasses.dataclass(frozen=True)
-class AuxShifted:
-    d: int
-    k: int
-    m: int
-    H_k: BiPoly           # (F_k + 1)^d - 1
-    G: BiPoly             # (ftil^m)', which is (F_m + 1)^(d-1) * cleared_m
-    R: BiPoly             # Res_z(H_k, x - G)
-
-
 def _orbit_product(d: int, k: int) -> BiPoly:
     """z * ftil(z) * ... * ftil^(k-1)(z); this is F_k + 1."""
     return orbit_product(Family("shifted", d), BiPoly.gen("z"), k)
@@ -374,7 +343,7 @@ def _cleared_product(d: int, m: int) -> BiPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def aux_nonunicritical(d: int, k: int, m: int) -> AuxPolys:
+def aux_nonunicritical(d: int, k: int, m: int) -> BiPoly:
     """R_{k,m} = Res_z(F_k, x - cleared_m), interpolated in c^g with
     g = gcd(d, k).
 
@@ -391,16 +360,15 @@ def aux_nonunicritical(d: int, k: int, m: int) -> AuxPolys:
     # asserted about it, so refuse early instead of failing late.
     if m % k:
         raise ValueError("need k | m")
+    # cleared_m is (d+1) z - dc, not ftil', along the orbit.
     F_k = _orbit_product(d, k) - 1
-    cleared = _cleared_product(d, m)
     bound = orbit_degc_bound(F_k, _linear_factor(d), m)
-    R = charpoly_interp(F_k, cleared, degc_bound=bound,
-                        stride=math.gcd(d, k))
-    return AuxPolys(d=d, k=k, m=m, F_k=F_k, cleared=cleared, R=R)
+    return charpoly_interp(F_k, _cleared_product(d, m), degc_bound=bound,
+                           stride=math.gcd(d, k))
 
 
 @functools.lru_cache(maxsize=None)
-def aux_shifted(d: int, k: int, m: int) -> AuxShifted:
+def aux_shifted(d: int, k: int, m: int) -> BiPoly:
     """Rtilde_{k,m} = Res_z(H_k, x - G), interpolated in c^d.
 
     For zeta^d = 1, ftil(zeta z) at zeta c is zeta ftil(z) at c, so
@@ -413,13 +381,8 @@ def aux_shifted(d: int, k: int, m: int) -> AuxShifted:
     """
     if m % k:
         raise ValueError("need k | m")
-    F_k = _orbit_product(d, k) - 1
-    H_k = (F_k + 1) ** d - 1
-    fam = Family("shifted", d)
-    G = multiplier_derivative(fam, m)
-    bound = orbit_degc_bound(H_k, fam.map_poly.derivative(), m)
-    R = charpoly_interp(H_k, G, degc_bound=bound, stride=d)
-    return AuxShifted(d=d, k=k, m=m, H_k=H_k, G=G, R=R)
+    return multiplier_resultant(Family("shifted", d),
+                                _orbit_product(d, k) ** d - 1, m, stride=d)
 
 
 def linearterm_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
@@ -428,11 +391,11 @@ def linearterm_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
     z = BiPoly.gen("z")
     c = BiPoly.cgen("z")
     tau = z ** d + c
-    aux = aux_nonunicritical(d, k, m)
+    F_k = _orbit_product(d, k) - 1
     out = []
 
     out.append(Verdict.identity("orbit-product-identity", {"d": d, "k": k},
-                                iterate(fam, k) - z, z * aux.F_k.compose(tau)))
+                                iterate(fam, k) - z, z * F_k.compose(tau)))
     out.append(Verdict.identity("derivative-product-identity",
                                 {"d": d, "m": m},
                                 multiplier_derivative(fam, m),
@@ -442,11 +405,12 @@ def linearterm_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
     out.append(Verdict.identity("resultant-split-fixed-factor",
                                 {"family": fam.label(), "k": k, "m": m},
                                 fixed_point_resultant(fam, k, m),
-                                (x - BiPoly.cgen("x") ** m) * aux.R ** d))
+                                (x - BiPoly.cgen("x") ** m)
+                                * aux_nonunicritical(d, k, m) ** d))
 
     ftil = Family("shifted", d).map_poly
     out.append(Verdict.identity("aux-root-permutation", {"d": d, "k": k},
-                                aux.F_k.compose(ftil).rem_monic(aux.F_k),
+                                F_k.compose(ftil).rem_monic(F_k),
                                 BiPoly()))
     return out
 
@@ -456,15 +420,14 @@ def shifted_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
     fam = Family("shifted", d)
     z = BiPoly.gen("z")
     c = BiPoly.cgen("z")
-    aux = aux_shifted(d, k, m)
     fk = iterate(fam, k) - z
     out = []
 
     out.append(Verdict.identity("orbit-product-identity",
                                 {"family": fam.label(), "k": k},
-                                fk, (z - c) * aux.H_k))
-    # aux.G is this cached product; the right-hand side builds it again
-    # from the orbit products, independently.
+                                fk, (z - c) * (_orbit_product(d, k) ** d - 1)))
+    # aux_shifted takes its G from this cached product; the right-hand
+    # side builds it again from the orbit products, independently.
     deriv = multiplier_derivative(fam, m)
     out.append(Verdict.identity("derivative-product-identity",
                                 {"family": fam.label(), "m": m},
@@ -477,7 +440,8 @@ def shifted_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
     out.append(Verdict.identity("resultant-split-fixed-factor",
                                 {"family": fam.label(), "k": k, "m": m},
                                 res,
-                                (x - BiPoly.cgen("x") ** (m * d)) * aux.R))
+                                (x - BiPoly.cgen("x") ** (m * d))
+                                * aux_shifted(d, k, m)))
 
     # The fixed point z = c has multiplier c^(m d) under the m-th iterate.
     out.append(Verdict.identity("fixed-multiplier-value",
@@ -514,15 +478,15 @@ def delta_aux_product_check(kind: str, d: int, m: int) -> Verdict:
     linearterm:  delta^m = (x - c^m)^eps * (prod R_{k,m}^mu)^d
     shifted:     delta^m = (x - c^(md))^eps * prod Rtilde_{k,m}^mu
     """
+    if kind == "linearterm":
+        aux, power, fix_deg = aux_nonunicritical, d, m
+    elif kind == "shifted":
+        aux, power, fix_deg = aux_shifted, 1, m * d
+    else:
+        raise ValueError("no auxiliary resultants for %r" % kind)
     fam = Family(kind, d)
     lhs = multiplier_poly(fam, m).delta ** m
-    aux = aux_nonunicritical if kind == "linearterm" else aux_shifted
-    ratio = moebius_product(m, lambda k: aux(d, k, m).R)
-    if kind == "linearterm":
-        ratio = ratio ** d
-        fix_deg = m
-    else:
-        fix_deg = m * d
+    ratio = moebius_product(m, lambda k: aux(d, k, m)) ** power
     if m == 1:
         ratio = (BiPoly.gen("x") - BiPoly.cgen("x") ** fix_deg) * ratio
     return Verdict.identity("delta-aux-product",
@@ -532,13 +496,15 @@ def delta_aux_product_check(kind: str, d: int, m: int) -> Verdict:
 def aux_integrality_check(kind: str, d: int, k: int, m: int) -> Verdict:
     """Scaled R_{k,m} (or Rtilde) lies in Z[dc, x], monic up to a unit."""
     if kind == "linearterm":
-        R = aux_nonunicritical(d, k, m).R
+        R = aux_nonunicritical(d, k, m)
         scale = d ** (m * ((d + 1) ** (k - 1) - 1) // d)
         monic_claimed = True
-    else:
-        R = aux_shifted(d, k, m).R
+    elif kind == "shifted":
+        R = aux_shifted(d, k, m)
         scale = d ** (m * ((d + 1) ** (k - 1) - 1))
         monic_claimed = False
+    else:
+        raise ValueError("no auxiliary resultants for %r" % kind)
     scaled = R.scale_c(IntPoly.const(scale))
     params = {"kind": kind, "d": d, "k": k, "m": m, "scale": scale}
     try:
@@ -555,7 +521,7 @@ def aux_integrality_check(kind: str, d: int, k: int, m: int) -> Verdict:
 def aux_leading_term_check(d: int, k: int, m: int) -> Verdict:
     """Leading c-term of R_{k,m}, sign included as printed after the
     authors' correction; treated as a claim under test."""
-    R = aux_nonunicritical(d, k, m).R
+    R = aux_nonunicritical(d, k, m)
     degc = m * ((d + 1) ** k - 1) // d
     coef = d ** (m * (d + 1) ** (k - 1))
     sign_exp = ((m + 1) * ((d + 1) ** k - 1) + m * ((d + 1) ** (k - 1) - 1)) // d
@@ -568,7 +534,7 @@ def aux_leading_term_check(d: int, k: int, m: int) -> Verdict:
 def aux_shifted_leading_check(d: int, k: int, m: int) -> Verdict:
     """Leading c-term of Rtilde_{k,m}: degree m((d+1)^k - 1) and absolute
     coefficient d^(m d (d+1)^(k-1)); only +-1 is claimed for the sign."""
-    R = aux_shifted(d, k, m).R
+    R = aux_shifted(d, k, m)
     degc = m * ((d + 1) ** k - 1)
     size = d ** (m * d * (d + 1) ** (k - 1))
     sign = 1 if R.coeff(0).lc > 0 else -1
@@ -631,7 +597,10 @@ def quadcrit_lt_check(d: int, n: int) -> Verdict:
 
 
 def cyclotomic_prime_check(n: int) -> Verdict:
-    """cyc_n(2) has a prime divisor q = 1 mod n, except cyc_6(2) = 3."""
+    """cyc_n(2) has a prime divisor q = 1 mod n, except cyc_6(2) = 3;
+    stated for n > 1, as cyc_1(2) = 1 is the other exception."""
+    if n <= 1:
+        raise ValueError("stated for n > 1")
     value = cyclotomic(n)(2)
     if n == 6:
         return Verdict.claim("cyclotomic-value-prime-divisor", {"n": n},

@@ -27,12 +27,13 @@ m-th root directly: its power sums are the traces divided by m, and
 only the first deg F / m of them are formed (Bostan, Flajolet, Salvy
 and Schost, "Fast computation of special resultants", 2006).  The
 number of nodes comes from a proven a-priori bound on the c-degree,
-never from a search: the caller passes it, orbit_degc_bound, which
-reads the growth of the roots at c = oo off a Newton polygon.  The
-Sylvester-shape cap degc_cap is the bound of the oracle and test side,
-where F and G carry no orbit structure.  One extra node is always
-computed and checked against the interpolated answer, and a mismatch
-raises BoundTooSmall rather than returning a wrong polynomial.
+never from a search: orbit_degc_bound reads the growth of the roots
+at c = oo off a Newton polygon, and families.multiplier_resultant takes
+it from the very F it interpolates.  The Sylvester-shape cap degc_cap
+is the bound of the oracle and test side, where F and G carry no orbit
+structure.  One extra node is always computed and checked against the
+interpolated answer, and a mismatch raises BoundTooSmall rather than
+returning a wrong polynomial.
 
 Res(F, G) in general is ``resultant``: one Euclid step on a monic side,
 Res(F, G) = Res(F, G rem F), then the Sylvester determinant, so a large

@@ -67,6 +67,10 @@ def _dense(pairs) -> list[int]:
 def decode_json(text: str):
     doc = json.loads(text)
     names = doc["var"]
+    # Only the encoded types: int() would read 1.5 and true as 1.
+    if any(not isinstance(t["coef"], str)
+           or any(type(e) is not int for e in t["exps"]) for t in doc["terms"]):
+        raise ValueError("expected decimal-string coefficients, int exponents")
     terms = [(t["exps"], int(t["coef"])) for t in doc["terms"]]
     if any(e < 0 for exps, _ in terms for e in exps):
         raise ValueError("negative exponent")

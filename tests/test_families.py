@@ -14,7 +14,6 @@ from dynres.families import (
     dynatomic,
     fixed_point_resultant,
     iterate,
-    multiplier_degc_bound,
     multiplier_derivative,
     multiplier_poly,
     multiplier_scale,
@@ -174,22 +173,27 @@ GOLDEN_RANGES = (("unicritical", {2: 3, 3: 3, 4: 2, 5: 2}),
                  ("quadcrit", {2: 2, 3: 2, 4: 2}))
 
 
+def _multiplier_bound(fam, m):
+    """The node bound of delta_m, as multiplier_poly takes it."""
+    return orbit_degc_bound(dynatomic(fam, m), fam.map_poly.derivative(), m, m)
+
+
 def test_multiplier_degc_bound():
     for kind, ranges in GOLDEN_RANGES:
         for d, m_top in ranges.items():
             fam = Family(kind, d)
             for m in range(1, m_top + 1):
-                bound = multiplier_degc_bound(fam, m)
+                bound = _multiplier_bound(fam, m)
                 degc = multiplier_poly(fam, m).delta.deg_c
                 if kind == "shifted":
                     assert bound >= degc, (kind, d, m)
                 else:
                     assert bound == degc, (kind, d, m)
     # the values behind the node counts of delta_6 and delta_5
-    assert multiplier_degc_bound(Family("unicritical", 2), 6) == 27
-    assert multiplier_degc_bound(Family("linearterm", 1), 5) == 30
+    assert _multiplier_bound(Family("unicritical", 2), 6) == 27
+    assert _multiplier_bound(Family("linearterm", 1), 5) == 30
     # shifted d=4: deg_c delta_2 is 20; the single-slope bound was 80
-    assert multiplier_degc_bound(Family("shifted", 4), 2) == 28
+    assert _multiplier_bound(Family("shifted", 4), 2) == 28
 
 
 def test_orbit_bound_structure_pairs():
@@ -211,7 +215,7 @@ def test_multiplier_bound_one_short_raises():
     m = 4
     phi = dynatomic(fam, m)
     omega = multiplier_derivative(fam, m)
-    bound = multiplier_degc_bound(fam, m)
+    bound = _multiplier_bound(fam, m)
     delta = charpoly_interp(phi, omega, degc_bound=bound, m=m)
     assert delta == multiplier_poly(fam, m).delta
     assert delta.deg_c == bound

@@ -6,7 +6,8 @@ import pytest
 from dynres import invariants
 from dynres.errors import NotInSubring
 from dynres.families import (Family, c_stride, fixed_point_resultant,
-                             iterate, multiplier_derivative, multiplier_poly)
+                             iterate, multiplier_derivative, multiplier_poly,
+                             orbit_product)
 from dynres.invariants import (
     aux_integrality_check,
     aux_leading_term_check,
@@ -158,12 +159,9 @@ def test_unicritical_leading_terms():
             assert unicritical_delta_lt_check(fam, m).passed
 
 
-def test_aux_cached_and_frozen():
-    aux = aux_shifted(2, 2, 2)
-    assert aux_shifted(2, 2, 2) is aux
+def test_aux_cached():
+    assert aux_shifted(2, 2, 2) is aux_shifted(2, 2, 2)
     assert aux_nonunicritical(2, 2, 2) is aux_nonunicritical(2, 2, 2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        aux.R = aux.G
 
 
 def test_fixed_point_resultant_cached():
@@ -223,7 +221,7 @@ def test_leading_size_checks_take_either_sign(monkeypatch):
     real = aux_shifted(2, 1, 2)
     for scalar, ok in ((-1, True), (2, False)):
         monkeypatch.setattr(invariants, "aux_shifted", lambda d, k, m:
-                            dataclasses.replace(real, R=real.R * scalar))
+                            real * scalar)
         verdict = aux_shifted_leading_check(2, 1, 2)
         assert verdict.passed is ok
         assert verdict.witness == {"sign": -1 if scalar < 0 else 1}
@@ -239,7 +237,7 @@ def test_signed_leading_checks_fail_on_corruption(monkeypatch):
     # R_{k,m} has a pinned sign, so -R fails.
     real = aux_nonunicritical(2, 1, 2)
     monkeypatch.setattr(invariants, "aux_nonunicritical", lambda d, k, m:
-                        dataclasses.replace(real, R=-real.R))
+                        -real)
     verdict = aux_leading_term_check(2, 1, 2)
     assert not verdict.passed and "constant term leading" in verdict.residual
     # c^3 x puts the top c-degree of delta_3 into the x^1 coefficient.
@@ -257,12 +255,20 @@ def test_delta_aux_product():
     for kind in ("linearterm", "shifted"):
         for d, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
             assert delta_aux_product_check(kind, d, m).passed
+    # only linearterm and shifted have auxiliary resultants; any other
+    # kind is refused rather than read as shifted
+    for kind in ("unicritical", "quadcrit", "Shifted"):
+        with pytest.raises(ValueError):
+            delta_aux_product_check(kind, 2, 1)
 
 
 def test_aux_integrality_and_leading():
     for kind in ("linearterm", "shifted"):
         for d, k, m in ((1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 2)):
             assert aux_integrality_check(kind, d, k, m).passed
+    for kind in ("quadcrit", "unicritical", "Shifted"):
+        with pytest.raises(ValueError):
+            aux_integrality_check(kind, 1, 1, 1)
     for d, k, m in ((1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 2), (3, 1, 1)):
         assert aux_leading_term_check(d, k, m).passed
         assert aux_shifted_leading_check(d, k, m).passed
@@ -302,6 +308,10 @@ def test_cyclotomic_prime_divisors():
         else:
             assert v.witness["primes"]
     assert cyclotomic_prime_check(7).witness["value"] == 127
+    # cyc_1(2) = 1 has no prime divisor at all: outside the claim
+    for n in (1, 0):
+        with pytest.raises(ValueError):
+            cyclotomic_prime_check(n)
 
 
 def test_dynatomic_equality():
@@ -337,16 +347,19 @@ def _exponent_gcd(P):
 # in c^s; the stride-1 reference uses the Sylvester cap for its nodes.
 def _strided_cases(kind, d):
     fam = Family(kind, d)
+    shifted = Family("shifted", d)
     z = BiPoly.gen("z")
     for k, m in ((1, 1), (1, 2), (2, 2)):
         yield (fixed_point_resultant(fam, k, m), iterate(fam, k) - z,
                multiplier_derivative(fam, m), c_stride(fam))
+        F_k = orbit_product(shifted, z, k) - 1
         if kind == "shifted":
-            aux = aux_shifted(d, k, m)
-            yield aux.R, aux.H_k, aux.G, d
+            yield (aux_shifted(d, k, m), (F_k + 1) ** d - 1,
+                   multiplier_derivative(shifted, m), d)
         if kind == "linearterm":
-            aux = aux_nonunicritical(d, k, m)
-            yield aux.R, aux.F_k, aux.cleared, math.gcd(d, k)
+            step = z * (d + 1) - BiPoly.cgen("z") * d
+            yield (aux_nonunicritical(d, k, m), F_k,
+                   orbit_product(shifted, step, m), math.gcd(d, k))
 
 
 @pytest.mark.parametrize("kind,d", [

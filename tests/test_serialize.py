@@ -50,13 +50,21 @@ def test_decode_preserves_names():
     assert (q.cvar, q.main_var) == ("a", "y")
     with pytest.raises(ValueError):
         decode_json('{"var":["a","b","c"],"terms":[]}')
-    # a negative exponent is refused, not folded into another term
+    # a negative exponent is refused, not folded into another term, and
+    # a coefficient that is no string or an exponent that is no int is
+    # refused, not truncated (1.5 to 1) or read as a number (true as 1)
     for doc in ('{"var":["c"],"terms":[{"exps":[2],"coef":"1"},'
                 '{"exps":[-1],"coef":"5"}]}',
                 '{"var":["c","x"],"terms":[{"exps":[1,1],"coef":"1"},'
                 '{"exps":[-1,1],"coef":"5"}]}',
                 '{"var":["c","x"],"terms":[{"exps":[1,1],"coef":"1"},'
-                '{"exps":[1,-1],"coef":"5"}]}'):
+                '{"exps":[1,-1],"coef":"5"}]}',
+                '{"var":["c"],"terms":[{"exps":[1],"coef":1.5}]}',
+                '{"var":["c"],"terms":[{"exps":[1],"coef":2}]}',
+                '{"var":["c"],"terms":[{"exps":[true],"coef":"1"}]}',
+                '{"var":["c"],"terms":[{"exps":[1.0],"coef":"1"}]}',
+                '{"var":["c","x"],"terms":[{"exps":[1,false],"coef":"1"}]}',
+                '{"var":["c","x"],"terms":[{"exps":["1",1],"coef":"1"}]}'):
         with pytest.raises(ValueError):
             decode_json(doc)
 
