@@ -19,7 +19,7 @@ Res_z(Phi*_m, x - (f^m)'), the fixed-point resultants
 Res_z(f^k - z, x - (f^m)') and the shifted family's auxiliary
 resultants are all multiplier_resultant: Res_z(F, x - (f^m)') for a
 monic F whose roots f permutes, or its monic root-th root.  It is
-interpolated in c from integer nodes by resultants.charpoly_interp, and
+interpolated from integer nodes by resultants.charpoly_interp, and
 the number of nodes comes from the proven bound orbit_degc_bound.  At
 each node the power sums of the root are the traces of ((f^m)')^k
 modulo F divided by the root index, and Newton's identities turn them
@@ -27,9 +27,8 @@ into its coefficients.  The fixed-point resultants are cached; their
 Moebius product and one exact m-th root give delta_m a second,
 independent time, in multiplier_via_product.  Conjugation by
 z -> zeta z sends c to a multiple of c and keeps every multiplier
-(c_stride), so the fixed-point resultants lie in Z[x][c^s] and are
-interpolated in C = c^s from about 1/s of the nodes; delta_m lies
-there too, but is still interpolated in c.
+(c_stride), so delta_m and the fixed-point resultants lie in
+Z[x][c^s] and are interpolated in C = c^s from about 1/s of the nodes.
 
 Dynatomic degrees grow fast.  The functions here compute whatever they
 are asked for; the size guardrail DEGREE_CAP is checked where outside
@@ -228,7 +227,8 @@ def multiplier_scale(fam: Family, m: int) -> int:
 # attribute lru_cache would add.
 @functools.lru_cache(maxsize=None)
 def _multiplier_cached(fam: Family, m: int) -> BiPoly:
-    return multiplier_resultant(fam, dynatomic(fam, m), m, root=m)
+    return multiplier_resultant(fam, dynatomic(fam, m), m, root=m,
+                                stride=c_stride(fam))
 
 
 def multiplier_poly(fam: Family, m: int) -> MultiplierResult:
@@ -236,9 +236,11 @@ def multiplier_poly(fam: Family, m: int) -> MultiplierResult:
 
     f permutes the roots of Phi*_m in cycles of length m sharing one
     (f^m)', so with root m the bound of multiplier_resultant is the sum
-    of max(0, v) over the roots of Phi*_m.  delta_m is interpolated
-    through that bound + 1 nodes in c, plus one node that checks the
-    bound; a mismatch raises BoundTooSmall.
+    of max(0, v) over the roots of Phi*_m.  delta_m is symmetric in the
+    cycle multipliers, so by c_stride it lies in Z[x][c^s] with
+    s = c_stride(fam); it is interpolated in C = c^s through
+    bound // s + 1 nodes, plus one node that checks the bound and the
+    stride; a mismatch raises BoundTooSmall.
     """
     delta = _multiplier_cached(fam, m)
     return MultiplierResult(m=m, delta=delta, scale=multiplier_scale(fam, m))

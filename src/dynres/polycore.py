@@ -457,20 +457,26 @@ def _newton_interpolate(xs: Sequence[int], ys: Sequence[int]) -> list[int]:
     return p
 
 
-def interpolate_intpolys(values: Sequence[IntPoly], main_var: str = "x",
-                         cvar: str = "c", stride: int = 1) -> BiPoly:
-    """BiPoly through (i, values[i]) for the nodes c = 0, 1, ..., n,
-    whose c-exponents are all multiples of stride.
+def interpolate_intpolys(nodes: Sequence[int], values: Sequence[IntPoly],
+                         main_var: str = "x", cvar: str = "c",
+                         stride: int = 1) -> BiPoly:
+    """BiPoly through (nodes[i], values[i]) for integer nodes c0, whose
+    c-exponents are all multiples of stride.
 
     Each main-variable coefficient is interpolated as a polynomial in
-    C = c^stride at the distinct points i^stride, then written back in c.
+    C = c^stride at the points c0^stride, which must be distinct, then
+    written back in c.
     """
     n = len(values) - 1
     if n < 0:
         raise ValueError("need at least one value")
+    if len(nodes) != n + 1:
+        raise ValueError("need one node per value")
     if stride < 1:
         raise ValueError("stride must be positive")
-    xs = [i ** stride for i in range(n + 1)]
+    xs = [c0 ** stride for c0 in nodes]
+    if len(set(xs)) != len(xs):
+        raise ValueError("the nodes give repeated points c^%d" % stride)
     width = max((len(v.coeffs) for v in values), default=0)
     out_coeffs = []
     for xi in range(width):

@@ -2,15 +2,18 @@
 each with an independent oracle.
 
 Res(F, x - G) for monic F, the shape of every multiplier resultant, is
-``charpoly_interp``: specialize c at the integers 0, 1, 2, ..., take
-the characteristic polynomial of multiplication by G on the quotient
-ring modulo F at each node, and reassemble by exact Newton
-interpolation.  When the caller proves that the result lies in
-Z[x][c^s], by a symmetry c -> zeta c with zeta^s = 1, the interpolation
-runs in C = c^s at the points 0, 1, 2^s, ..., and about 1/s as many
-nodes are needed.  Per node, ``charpoly_int`` builds the n columns of
-the matrix M of multiplication by G on Z[z]/(F), n = deg F, each one z
-times the previous one reduced modulo F.  The traces of G^k are read
+``charpoly_interp``: specialize c at integer nodes, take the
+characteristic polynomial of multiplication by G on the quotient ring
+modulo F at each node, and reassemble by exact Newton interpolation.
+When the caller proves that the result lies in Z[x][c^s], by a
+symmetry c -> zeta c with zeta^s = 1, the interpolation runs in
+C = c^s, and about 1/s as many nodes are needed.  One node plan serves
+every call: for odd s (s = 1 included) the nodes are balanced around 0,
+..., -1, 0, 1, ..., which keeps the specialized coefficients small, and
+for even s, where c and -c give one C, they are 0, 1, 2, ....  Per
+node, ``charpoly_int`` builds the n columns of the matrix M of
+multiplication by G on Z[z]/(F), n = deg F, each one z times the
+previous one reduced modulo F.  The traces of G^k are read
 by baby-step/giant-step power projection (Shoup, "Efficient computation
 of minimal polynomials in algebraic extensions of finite fields", ISSAC
 1999).  For d traces and r = isqrt(d), the baby steps form G^j mod F
@@ -29,11 +32,9 @@ and Schost, "Fast computation of special resultants", 2006).  The
 number of nodes comes from a proven a-priori bound on the c-degree,
 never from a search: orbit_degc_bound reads the growth of the roots
 at c = oo off a Newton polygon, and families.multiplier_resultant takes
-it from the very F it interpolates.  The Sylvester-shape cap degc_cap
-is the bound of the oracle and test side, where F and G carry no orbit
-structure.  One extra node is always computed and checked against the
-interpolated answer, and a mismatch raises BoundTooSmall rather than
-returning a wrong polynomial.
+it from the very F it interpolates.  One extra node is always computed
+and checked against the interpolated answer, and a mismatch raises
+BoundTooSmall rather than returning a wrong polynomial.
 
 Res(F, G) in general is ``resultant``: one Euclid step on a monic side,
 Res(F, G) = Res(F, G rem F), then the Sylvester determinant, so a large
@@ -264,12 +265,6 @@ def charpoly_sylvester(F: BiPoly, G: BiPoly) -> BiPoly:
 # Res(F, x - G) by evaluation and interpolation
 
 
-def degc_cap(F: BiPoly, G: BiPoly) -> int:
-    """Safe c-degree bound for Res(F, G) straight from the Sylvester shape."""
-    return ((F.deg_c or 0) * max(G.degree or 0, 1)
-            + (G.deg_c or 0) * max(F.degree or 0, 1))
-
-
 def orbit_degc_bound(F: BiPoly, h: BiPoly, steps: int,
                      root_index: int = 1) -> int:
     """Proven bound on deg_c of the monic root_index-th root of
@@ -297,6 +292,23 @@ def orbit_degc_bound(F: BiPoly, h: BiPoly, steps: int,
     return steps * total // root_index
 
 
+def _node_plan(degc_bound: int, stride: int) -> list[int]:
+    """The integer nodes c0 of ``charpoly_interp``, the check node last.
+
+    A C-degree of at most degc_bound // stride needs top = that + 1
+    nodes with distinct C = c0^stride, and one more checks the result.
+    For odd stride, c0 -> c0^stride is injective on the integers, so the
+    nodes are balanced around 0, c0 in [-(top // 2), top - top // 2]:
+    the largest |c0| is about top / 2 rather than top, and the
+    specialized F and G, and so the per-node charpolys, have smaller
+    coefficients.  For even stride, c0 and -c0 give one C, and the
+    nodes are 0, 1, ..., top.
+    """
+    top = degc_bound // stride + 1
+    low = -(top // 2) if stride % 2 else 0
+    return list(range(low, low + top + 1))
+
+
 def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int, m: int = 1,
                     stride: int = 1) -> BiPoly:
     """Res(F, x - G) for monic F via per-node integer charpolys.
@@ -306,24 +318,27 @@ def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int, m: int = 1,
     caller passes a proven c-degree bound, degc_bound.  It may also
     assert that every c-exponent of the result is a multiple of stride,
     as a symmetry c -> zeta c with zeta^stride = 1 proves; the result is
-    then interpolated in C = c^stride from the nodes
-    c = 0, 1, ..., degc_bound // stride.  One extra node checks the
-    bound and the stride, and a mismatch raises BoundTooSmall.
+    then interpolated in C = c^stride.  The nodes are those of
+    ``_node_plan``: degc_bound // stride + 1 integers c0 with distinct
+    c0^stride, balanced around 0 for odd stride and 0, 1, ... for even
+    stride, then one extra node that checks the bound and the stride; a
+    mismatch raises BoundTooSmall.
     """
     if not F.is_monic:
         raise ValueError("interpolation charpoly needs F monic")
     if stride < 1:
         raise ValueError("stride must be positive")
-    top = degc_bound // stride + 1
+    nodes = _node_plan(degc_bound, stride)
     values = [charpoly_int(F.specialize_c_int(c0).coeffs,
                            G.specialize_c_int(c0).coeffs, m)
-              for c0 in range(top + 1)]
+              for c0 in nodes]
     try:
-        result = interpolate_intpolys(values[:-1], "x", F.cvar, stride)
+        result = interpolate_intpolys(nodes[:-1], values[:-1], "x", F.cvar,
+                                      stride)
     except DivisionNotExact as exc:
         raise BoundTooSmall(
             "degree bound %d failed verification" % degc_bound) from exc
-    if result.specialize_c_int(top) != values[-1]:
+    if result.specialize_c_int(nodes[-1]) != values[-1]:
         raise BoundTooSmall("degree bound %d failed verification" % degc_bound)
     return result
 

@@ -20,8 +20,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 from .polycore import BiPoly, IntPoly, _descending
+
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _variables(obj) -> list[str]:
@@ -64,27 +67,45 @@ def _dense(pairs) -> list[int]:
     return out
 
 
-def decode_json(text: str):
-    doc = json.loads(text)
-    names = doc["var"]
-    # Only the encoded types: int() would read 1.5 and true as 1.
-    if any(not isinstance(t["coef"], str)
-           or any(type(e) is not int for e in t["exps"]) for t in doc["terms"]):
+def _decode_term(t, nvars: int) -> tuple[list[int], int]:
+    """(exponents, coefficient) of one encoded term, or ValueError."""
+    if not isinstance(t, dict) or not {"exps", "coef"} <= t.keys():
+        raise ValueError("expected a term object with exps and coef")
+    exps = t["exps"]
+    if not isinstance(exps, list) or len(exps) != nvars:
+        raise ValueError("expected %d exponents per term" % nvars)
+    # Only the encoded forms: int() would read 1.5 and true as 1, and
+    # " 1_0" as 10.
+    coef = t["coef"]
+    if (not isinstance(coef, str) or not _DECIMAL.fullmatch(coef)
+            or any(type(e) is not int for e in exps)):
         raise ValueError("expected decimal-string coefficients, int exponents")
-    terms = [(t["exps"], int(t["coef"])) for t in doc["terms"]]
-    if any(e < 0 for exps, _ in terms for e in exps):
+    if any(e < 0 for e in exps):
         raise ValueError("negative exponent")
+    return exps, int(coef)
+
+
+def decode_json(text: str):
+    """The IntPoly or BiPoly of an encode_json document; a document of
+    any other shape raises ValueError."""
+    doc = json.loads(text)
+    names = doc.get("var") if isinstance(doc, dict) else None
+    if (not isinstance(names, list) or len(names) not in (1, 2)
+            or not all(isinstance(v, str) for v in names)
+            or len(set(names)) != len(names)):
+        raise ValueError("expected one or two distinct variable names")
+    if not isinstance(doc.get("terms"), list):
+        raise ValueError("expected a list of terms")
+    terms = [_decode_term(t, len(names)) for t in doc["terms"]]
     if len(names) == 1:
         return IntPoly(_dense([(e, a) for (e,), a in terms]), names[0])
-    if len(names) == 2:
-        cvar, main = names
-        cols: dict[int, list] = {}
-        for (ec, em), a in terms:
-            cols.setdefault(em, []).append((ec, a))
-        return BiPoly([IntPoly(_dense(cols.get(i, [])), cvar)
-                       for i in range(max(cols, default=-1) + 1)],
-                      main, cvar)
-    raise ValueError("expected one or two variable names")
+    cvar, main = names
+    cols: dict[int, list] = {}
+    for (ec, em), a in terms:
+        cols.setdefault(em, []).append((ec, a))
+    return BiPoly([IntPoly(_dense(cols.get(i, [])), cvar)
+                   for i in range(max(cols, default=-1) + 1)],
+                  main, cvar)
 
 
 def encode_csv(obj) -> str:

@@ -1,0 +1,59 @@
+"""scripts/bench_pairs.py summarizes alternating parent/change runs."""
+import importlib.util
+import pathlib
+
+SCRIPT = (pathlib.Path(__file__).resolve().parent.parent / "scripts"
+          / "bench_pairs.py")
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(side, seed, wall_ref, exit=0, workload="tables"):
+    rec = {"side": side, "workload": workload, "seed": seed, "exit": exit,
+           "correct": exit == 0}
+    if exit == 0:
+        rec.update(failed=0, wall_ref=wall_ref, peak_rss_mib=18.0,
+                   setup_s=0.1, rounds=10, round_wall_s_median=0.5)
+    return rec
+
+
+def test_summarize_pairs_quartiles_and_gap():
+    bp = _load_script()
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0]
+    change = [8.0, 12.0, 9.0, 9.5, 8.5]
+    runs = ([_run("parent", s, v) for s, v in enumerate(parent)]
+            + [_run("change", s, v) for s, v in enumerate(change)]
+            + [_run("parent", 0, 99.0, workload="classify")])
+    out = bp.summarize(runs, "tables")
+    # statistics.quantiles' exclusive quartiles of 10..14
+    assert out["parent"]["wall_ref"] == {"median": 12.0, "q1": 10.5,
+                                         "q3": 13.5}
+    assert out["change"]["wall_ref"]["median"] == 9.0
+    assert out["parent"]["runs"] == out["change"]["runs"] == 5
+    assert out["parent"]["all_exit_0"] and out["change"]["all_correct"]
+    # seed 1 is 12.0 against 11.0, a loss; equal values are ties
+    assert out["change_lower_in_pairs"]["wall_ref"] == "4/5"
+    assert out["change_lower_in_pairs"]["peak_rss_mib"] == "0/5"
+    # 12 - 9 = 3 against a parent IQR of 3: not more than it
+    assert out["medians_differ_by_more_than_parent_iqr"]["wall_ref"] is False
+    assert out["median_change_ratio"]["wall_ref"] == 9.0 / 12.0
+
+
+def test_summarize_counts_failed_runs_as_no_win():
+    bp = _load_script()
+    runs = [_run("parent", 0, 20.0), _run("change", 0, 10.0),
+            _run("parent", 1, 20.0), _run("change", 1, None, exit=1)]
+    out = bp.summarize(runs, "tables")
+    assert out["change_lower_in_pairs"]["wall_ref"] == "1/2"
+    assert out["change"]["runs"] == 2
+    assert not out["change"]["all_exit_0"]
+    assert not out["change"]["all_correct"]
+    assert out["change"]["wall_ref"] == {"median": 10.0, "q1": 10.0,
+                                         "q3": 10.0}
+    assert out["medians_differ_by_more_than_parent_iqr"]["wall_ref"] is True
+    assert bp._seeds("12-14,20") == [12, 13, 14, 20]

@@ -9,6 +9,7 @@ from dynres.errors import BoundTooSmall, GuardrailExceeded
 from dynres.families import (
     DEGREE_CAP,
     Family,
+    c_stride,
     check_degree,
     conjugacy_check,
     dynatomic,
@@ -16,6 +17,7 @@ from dynres.families import (
     iterate,
     multiplier_derivative,
     multiplier_poly,
+    multiplier_resultant,
     multiplier_scale,
     multiplier_via_product,
 )
@@ -221,6 +223,32 @@ def test_multiplier_bound_one_short_raises():
     assert delta.deg_c == bound
     with pytest.raises(BoundTooSmall):
         charpoly_interp(phi, omega, degc_bound=bound - 1, m=m)
+
+
+@pytest.mark.parametrize("kind, d, m_top", [
+    ("unicritical", 3, 3), ("unicritical", 4, 3), ("shifted", 2, 3),
+    ("shifted", 3, 2), ("quadcrit", 1, 3), ("quadcrit", 2, 3)])
+def test_strided_multiplier_equals_unstrided(kind, d, m_top):
+    # delta_m is interpolated in c^s, s = c_stride(fam) > 1 here; the
+    # same resultant interpolated in c must be the same polynomial
+    fam = Family(kind, d)
+    assert c_stride(fam) > 1
+    for m in range(1, m_top + 1):
+        plain = multiplier_resultant(fam, dynatomic(fam, m), m, root=m,
+                                     stride=1)
+        assert multiplier_poly(fam, m).delta == plain, (kind, d, m)
+
+
+def test_false_stride_raises():
+    # delta_1 of z^2 + cz has multipliers c and 2 - c; its c^1 term
+    # shows that no stride 2 holds, and the check node says so
+    fam = Family("linearterm", 1)
+    phi = dynatomic(fam, 1)
+    delta = X * X - 2 * X + 2 * CX - CX * CX
+    assert multiplier_resultant(fam, phi, 1, stride=1) == delta
+    assert multiplier_poly(fam, 1).delta == delta
+    with pytest.raises(BoundTooSmall):
+        multiplier_resultant(fam, phi, 1, stride=2)
 
 
 def test_conjugacy():

@@ -37,7 +37,8 @@ from dynres.invariants import (
 )
 from dynres.numtheory import divisors
 from dynres.polycore import BiPoly, IntPoly
-from dynres.resultants import charpoly_interp, charpoly_sylvester, degc_cap
+from dynres.resultants import charpoly_interp, charpoly_sylvester
+from test_resultants import degc_cap
 
 FAM2 = Family("unicritical", 2)
 

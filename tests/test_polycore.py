@@ -206,7 +206,8 @@ def test_interpolate_int():
     # width 1: integer values, read back as the x^0 coefficient
     def interpolate(values):
         points = [IntPoly.const(v, "c") for v in values]
-        return interpolate_intpolys(points, "x", "c").coeff(0)
+        return interpolate_intpolys(range(len(points)), points, "x",
+                                    "c").coeff(0)
 
     # values of 3c^2 - c + 5 at 0..4
     vals = [3 * t * t - t + 5 for t in range(5)]
@@ -221,8 +222,9 @@ def test_interpolate_intpolys():
     z = BiPoly.gen("z")
     c = BiPoly.cgen("z")
     f = z * z * 3 + (c * c - 1) * z + 5 * c
-    vals = [f.specialize_c_int(t) for t in range(f.deg_c + 1)]
-    assert interpolate_intpolys(vals, "z", "c") == f
+    nodes = range(f.deg_c + 1)
+    vals = [f.specialize_c_int(t) for t in nodes]
+    assert interpolate_intpolys(nodes, vals, "z", "c") == f
 
 
 @pytest.mark.parametrize("stride", [2, 3])
@@ -233,13 +235,40 @@ def test_interpolate_intpolys_stride(stride):
     C = BiPoly.cgen("x") ** stride
     f = x ** 3 - 7 * C * x + 3 * C ** 2 - 2 * C ** 3 + 5
     vals = [f.specialize_c_int(t) for t in range(4)]
-    assert interpolate_intpolys(vals, "x", "c", stride) == f
+    assert interpolate_intpolys(range(4), vals, "x", "c", stride) == f
     # the same values read at stride 1 give a different, lower-degree
     # polynomial: the stride is a claim the values cannot check
-    assert interpolate_intpolys(vals, "x", "c").deg_c == 3
+    assert interpolate_intpolys(range(4), vals, "x", "c").deg_c == 3
     with pytest.raises(DivisionNotExact):
         # no polynomial in Z[c^s] takes these values at c = 0, 1, 2
-        interpolate_intpolys([IntPoly.const(v, "x") for v in (0, 1, 0)],
+        interpolate_intpolys(range(3),
+                             [IntPoly.const(v, "x") for v in (0, 1, 0)],
                              "x", "c", stride)
     with pytest.raises(ValueError):
-        interpolate_intpolys(vals, "x", "c", 0)
+        interpolate_intpolys(range(4), vals, "x", "c", 0)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_interpolate_intpolys_balanced_nodes(stride):
+    # odd stride: the nodes -2..2 give the distinct points c0^s, so
+    # negative nodes determine a C-degree 4 as well as 0..4 do
+    x = BiPoly.gen("x")
+    C = BiPoly.cgen("x") ** stride
+    f = x ** 2 - (C ** 4 - 5 * C + 1) * x + 3 * C ** 3 - 11
+    nodes = [-2, -1, 0, 1, 2]
+    vals = [f.specialize_c_int(t) for t in nodes]
+    assert interpolate_intpolys(nodes, vals, "x", "c", stride) == f
+    assert interpolate_intpolys(nodes[::-1], vals[::-1], "x", "c",
+                                stride) == f
+    # one value short, the interpolant of the rest misses the last node
+    lower = interpolate_intpolys(nodes[:-1], vals[:-1], "x", "c", stride)
+    assert lower.specialize_c_int(2) != vals[-1]
+
+
+def test_interpolate_intpolys_refuses_bad_nodes():
+    vals = [IntPoly.const(v, "x") for v in (1, 2, 5)]
+    with pytest.raises(ValueError):
+        # at even stride, -1 and 1 are one point in C = c^2
+        interpolate_intpolys([-1, 0, 1], vals, "x", "c", 2)
+    with pytest.raises(ValueError):
+        interpolate_intpolys([0, 1], vals, "x", "c")

@@ -6,10 +6,10 @@ from dynres.resultants import (
     charpoly_int,
     charpoly_interp,
     charpoly_sylvester,
-    degc_cap,
     resultant,
     resultant_sylvester,
 )
+from test_resultants import degc_cap
 
 
 def random_intpoly(rng, degree, bound=9, var="c"):

@@ -4,15 +4,23 @@ from dynres.errors import (BoundTooSmall, DivisionNotExact, NotPerfectPower,
                            ZeroPolynomial)
 from dynres.polycore import BiPoly, IntPoly
 from dynres.resultants import (
+    _node_plan,
     bareiss_det,
     charpoly_int,
     charpoly_interp,
     charpoly_sylvester,
-    degc_cap,
     orbit_degc_bound,
     resultant,
     resultant_sylvester,
 )
+
+
+def degc_cap(F: BiPoly, G: BiPoly) -> int:
+    """Safe c-degree bound for Res(F, G) straight from the Sylvester
+    shape: the node bound of the tests, whose F and G carry no orbit
+    structure for resultants.orbit_degc_bound to read."""
+    return ((F.deg_c or 0) * max(G.degree or 0, 1)
+            + (G.deg_c or 0) * max(F.degree or 0, 1))
 
 
 def const(*coeffs):
@@ -191,6 +199,21 @@ def test_degc_cap():
     F = z * z + c
     G = z ** 3 + (c * c) * z
     assert degc_cap(F, G) == 1 * 3 + 2 * 2
+
+
+def test_node_plan():
+    # bound // s + 1 interpolation nodes with distinct c0^s, then the
+    # check node; balanced around 0 exactly when s is odd
+    assert _node_plan(6, 1) == [-3, -2, -1, 0, 1, 2, 3, 4]
+    assert _node_plan(7, 3) == [-1, 0, 1, 2]
+    assert _node_plan(7, 2) == [0, 1, 2, 3, 4]
+    assert _node_plan(0, 5) == [0, 1]
+    for bound in range(40):
+        for s in range(1, 6):
+            nodes = _node_plan(bound, s)
+            assert len(nodes) == bound // s + 2
+            assert len({c0 ** s for c0 in nodes}) == len(nodes)
+            assert min(nodes) == (-((bound // s + 1) // 2) if s % 2 else 0)
 
 
 def test_bound_too_small():

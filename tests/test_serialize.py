@@ -64,7 +64,26 @@ def test_decode_preserves_names():
                 '{"var":["c"],"terms":[{"exps":[true],"coef":"1"}]}',
                 '{"var":["c"],"terms":[{"exps":[1.0],"coef":"1"}]}',
                 '{"var":["c","x"],"terms":[{"exps":[1,false],"coef":"1"}]}',
-                '{"var":["c","x"],"terms":[{"exps":["1",1],"coef":"1"}]}'):
+                '{"var":["c","x"],"terms":[{"exps":["1",1],"coef":"1"}]}',
+                # a document that is no object, variable names that are
+                # not a list of one or two distinct strings ("cx" is not
+                # the two names c and x), a term that is no object or
+                # lacks a key, exponents that are no list of the names'
+                # length
+                '[1]', '"c"', '{"terms":[]}',
+                '{"var":"cx","terms":[]}', '{"var":"c","terms":[]}',
+                '{"var":[],"terms":[]}', '{"var":["c","c"],"terms":[]}',
+                '{"var":["c",1],"terms":[]}', '{"var":["c"]}',
+                '{"var":["c"],"terms":{}}', '{"var":["c"],"terms":[1]}',
+                '{"var":["c"],"terms":[["exps","coef"]]}',
+                '{"var":["c"],"terms":[{"exps":[1]}]}',
+                '{"var":["c"],"terms":[{"coef":"1"}]}',
+                '{"var":["c"],"terms":[{"exps":1,"coef":"1"}]}',
+                '{"var":["c","x"],"terms":[{"exps":[1],"coef":"1"}]}',
+                '{"var":["c"],"terms":[{"exps":[1,0],"coef":"1"}]}',
+                '{"var":["c"],"terms":[{"exps":[1],"coef":"one"}]}',
+                '{"var":["c"],"terms":[{"exps":[1],"coef":" 1_0"}]}',
+                '{"var":["c"],"terms":[{"exps":[1],"coef":"+1"}]}'):
         with pytest.raises(ValueError):
             decode_json(doc)
 
