@@ -1,11 +1,12 @@
 """Alternating parent/change pairs of the benchmark, summarized in one file.
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --tag TAG
-        [--workloads tables,classify,identities] [--seeds 12-21]
-        [--seconds 20] [--traced-seed 11] [--what TEXT]
+        [--seeds 12-21] [--traced-seed 11] [--what TEXT]
 
 DIR is the root of a checkout; each side runs its own, unmodified
-``perfbench/run.py`` there, one workload at a time.  Pair i of a
+``perfbench/run.py`` there, one workload at a time.  The workloads and
+the run length are those of ``BENCHMARK.json`` beside this script, so a
+pair runs exactly as the benchmark does.  Pair i of a
 workload runs both sides on the i-th seed, the parent first when i is
 even and the change first when i is odd.  The rounds and round wall
 times are read from the runner's standard error, the metrics from the
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import platform
 import re
 import statistics
@@ -33,6 +35,7 @@ import sys
 METRICS = ("wall_ref", "peak_rss_mib", "setup_s")
 STATS = METRICS + ("rounds", "round_wall_s_median")
 SIDES = ("parent", "change")
+BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 # The runner ends everything within 180 s; a run past this is hung and
 # is recorded with exit -1.
 TIMEOUT_S = 300
@@ -145,22 +148,22 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", required=True)
     ap.add_argument("--tag", required=True)
-    ap.add_argument("--workloads", default="tables,classify,identities")
     ap.add_argument("--seeds", type=_seeds, default=_seeds("12-21"))
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--traced-seed", type=int)
     ap.add_argument("--what", default="perfbench end-to-end metrics, "
                                       "parent against change")
     args = ap.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
-    workloads = args.workloads.split(",")
+    bench = json.loads(BENCHMARK.read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     runs = []
     for workload in workloads:
         for i, seed in enumerate(args.seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                 rec = dict(side=side, **run_once(roots[side], workload, seed,
-                                                 args.seconds, trace=False))
+                                                 seconds, trace=False))
                 runs.append(rec)
                 print("%s %s seed %d: exit %d, wall_ref %s" % (
                     workload, side, seed, rec["exit"], rec.get("wall_ref")),
@@ -170,7 +173,7 @@ def main(argv=None) -> int:
         "command": "python3 perfbench/run.py --workload W --seed N "
                    "--seconds %g --trace 0, unmodified, in each checkout; "
                    "rounds and round wall times read from its standard "
-                   "error" % args.seconds,
+                   "error" % seconds,
         "machine": "%s, %d CPUs, Python %s" % (
             platform.system(), os.cpu_count() or 0,
             platform.python_version()),
