@@ -15,10 +15,11 @@ one traced round set per workload (``--seconds 1 --trace 1``) for the
 per-layer counts.
 
 The result is ``BENCH_<TAG>.json`` in the working directory: every run,
-the traced runs, and per workload each side's median and quartiles, the
-pairs the change won on each end-to-end metric (lower is better, ties
-count for neither side), the ratio of the medians, and whether the
-medians differ by more than the parent's interquartile range.
+the traced runs, and per workload each side's median and quartiles,
+its shortest round wall time, the pairs the change won on each
+end-to-end metric (lower is better, ties count for neither side), the
+ratio of the medians, and whether the medians differ by more than the
+parent's interquartile range.
 """
 from __future__ import annotations
 
@@ -67,7 +68,8 @@ def run_once(root: str, workload: str, seed: int, seconds: float,
     if match:
         walls = [float(w) for w in match.group(3).split(", ")]
         rec.update(rounds=int(match.group(2)),
-                   round_wall_s_median=statistics.median(walls))
+                   round_wall_s_median=statistics.median(walls),
+                   round_wall_s_min=min(walls))
     return rec
 
 
@@ -94,6 +96,11 @@ def summarize(runs: list[dict], workload: str) -> dict:
         rs = [r for r in mine if r["side"] == side]
         sums = {key: _spread([r[key] for r in rs if key in r])
                 for key in STATS}
+        # The shortest round of the side, not a spread: a round under
+        # the runner's first 0.1 s reference slice leaves it no slice.
+        sums["round_wall_s_min"] = min(
+            (r["round_wall_s_min"] for r in rs if "round_wall_s_min" in r),
+            default=None)
         sums.update(runs=len(rs),
                     all_exit_0=all(r["exit"] == 0 for r in rs),
                     all_correct=all(r["correct"] for r in rs),
@@ -129,8 +136,9 @@ def _traced(root: str, workload: str, seed: int) -> dict:
             "multiplier_poly_node_yield":
                 "families.multiplier_poly.node_yield"}
     out = {short: rec[name] for short, name in keys.items() if name in rec}
-    out.update({k: rec[k] for k in ("round_wall_s_median", "rounds", "exit",
-                                    "correct", "failed") if k in rec})
+    out.update({k: rec[k] for k in ("round_wall_s_median", "round_wall_s_min",
+                                    "rounds", "exit", "correct", "failed")
+                if k in rec})
     return out
 
 

@@ -22,7 +22,8 @@ class BoundTooSmall(ArithmeticError):
 
 
 class NotInSubring(ArithmeticError):
-    """A polynomial does not lie in the claimed rescaled subring."""
+    """A polynomial does not lie in the claimed subring: the rescaled
+    subring of the paper, or z^o Z[c][z^e] for a rotation symmetry."""
 
 
 class ZeroPolynomial(ArithmeticError):

@@ -29,6 +29,13 @@ independent time, in multiplier_via_product.  Conjugation by
 z -> zeta z sends c to a multiple of c and keeps every multiplier
 (c_stride), so delta_m and the fixed-point resultants lie in
 Z[x][c^s] and are interpolated in C = c^s from about 1/s of the nodes.
+Rotation by z -> zeta z with zeta^e = 1 commutes with f when e divides
+j - 1 for every z-exponent j of f (z_stride, read off the support of
+the map: e = d for linearterm, 1 otherwise).  Then Phi*_m = F^(z^e)
+for m > 1 and (f^m)' = G^(z^e), so delta_m is a power of a monic root
+of Res_w(F^, x - G^), whose per-node charpolys have 1/e of the size;
+multiplier_poly takes that quotient, and fixed_point_resultant, and so
+the oracle multiplier_via_product, keep the full f^k - z.
 
 Dynatomic degrees grow fast.  The functions here compute whatever they
 are asked for; the size guardrail DEGREE_CAP is checked where outside
@@ -40,8 +47,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
-from .errors import GuardrailExceeded
+from .errors import GuardrailExceeded, NotInSubring
 from .numtheory import dynatomic_degree, moebius_product
 from .polycore import BiPoly, nth_root
 from .report import Verdict
@@ -60,6 +68,11 @@ class Family:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown family kind %r" % self.kind)
+        # bool is an int subclass, and a float d such as 2.0 would hash
+        # equal to 2 in the iterate caches.
+        if isinstance(self.d, bool) or not isinstance(self.d, int):
+            raise ValueError("family degree must be an int, not %r"
+                             % (self.d,))
         dmin = 2 if self.kind == "unicritical" else 1
         if self.d < dmin:
             raise ValueError("%s family needs d >= %d" % (self.kind, dmin))
@@ -170,15 +183,48 @@ def c_stride(fam: Family) -> int:
     f_c', and by the chain rule (f_c'^m)'(w) = (f_c^m)'(zeta w), so a
     polynomial in c built symmetrically from these multipliers takes
     the same value at c and at zeta c for every s-th root of unity zeta;
-    it lies in Z[c^s].
+    it lies in Z[c^s].  These conjugations move c; the rotations that fix
+    c, and so the map itself, are those of z_stride.  The table here is
+    not yet read off the support of the map as z_stride is.
     """
     d = fam.d
     return {"unicritical": d - 1, "shifted": d, "quadcrit": d + 1,
             "linearterm": 1}[fam.kind]
 
 
+def z_stride(fam: Family) -> int:
+    """The largest e with f(zeta z) = zeta f(z) for every zeta^e = 1: the
+    gcd of j - 1 over the z-exponents j of the map.
+
+    With f = sum a_j(c) z^j, f(zeta z) - zeta f(z) is the sum of
+    a_j (zeta^j - zeta) z^j, which vanishes for every e-th root of unity
+    zeta exactly when e divides j - 1 for each j in the support; the
+    largest such e is the gcd, positive since the map has degree >= 2.
+    linearterm z^(d+1) + cz gives d; unicritical (j = d, 0), shifted
+    (d + 1, d, 0) and quadcrit (d + 2, 2) give 1.  The rotation commutes
+    with every iterate, f^k(zeta z) = zeta f^k(z), so by the chain rule
+    (f^m)'(zeta z) = (f^m)'(z): (f^m)' is a polynomial in z^e.  And
+    f^k(zeta z) - zeta z = zeta (f^k(z) - z), so the Moebius product
+    Phi*_m(zeta z) is zeta^[m = 1] Phi*_m(z) (the Moebius exponents over
+    k | m sum to [m = 1]): every z-exponent of Phi*_m is congruent to
+    [m = 1] modulo e.
+    """
+    return math.gcd(*(j - 1 for j, a in enumerate(fam.map_poly.coeffs)
+                      if not a.is_zero))
+
+
+def _in_z_power(P: BiPoly, e: int, o: int = 0) -> BiPoly:
+    """P^ with P = z^o P^(z^e); any other support of P raises
+    NotInSubring."""
+    if any(not a.is_zero for j, a in enumerate(P.coeffs)
+           if j < o or (j - o) % e):
+        raise NotInSubring("%s is not z^%d times a polynomial in z^%d"
+                           % (P, o, e))
+    return BiPoly(P.coeffs[o::e], P.main_var, P.cvar)
+
+
 def multiplier_resultant(fam: Family, F: BiPoly, m: int, root: int = 1,
-                         stride: int = 1) -> BiPoly:
+                         stride: int = 1, z_stride: int = 1) -> BiPoly:
     """The monic root-th root of Res_z(F, x - (f^m)'), for F monic in z
     with roots that f permutes; with stride s, interpolated in c^s.
 
@@ -188,10 +234,39 @@ def multiplier_resultant(fam: Family, F: BiPoly, m: int, root: int = 1,
     f' O(|c|^v(t)) there, so the c-degree is at most m times the sum of
     max(0, v) over the roots, divided by root.  Not cached: F is
     unhashable, and every caller caches its own result.
+
+    With z_stride e > 1 the caller asserts F = z^o F^(z^e) and
+    G = (f^m)' = G^(z^e), as the rotations of the function z_stride
+    prove for Phi*_m; any other support raises NotInSubring.  The roots
+    of F are 0, o times, and the e-th roots of each root b of F^, where
+    G takes the value G^(b), so
+      Res_z(F, x - G) = (x - G(0))^o Res_w(F^, x - G^)^e.
+    With g = gcd(root, e) and o = 0, the root-th root delta has
+    delta^root = R^e for R = Res_w(F^, x - G^).  In the UFD Z[c][x] an
+    irreducible factor of multiplicity a in delta and b in R has
+    root a = e b, so root / g divides b: R = rho^(root / g) for a monic
+    rho, and delta = rho^(e / g), monic roots being unique.  rho is
+    interpolated from the charpolys of G^ modulo F^ at root index
+    root / g, with c-degree deg_c(delta) g / e <= floor(bound g / e); it
+    keeps the stride of delta, since rho(zeta c)^(e/g) = rho(c)^(e/g)
+    forces rho(zeta c) = rho(c).  A root at z = 0 (o > 0) is allowed
+    only at root 1, where g = 1 and the result is (x - G(0))^o R^e; its
+    one caller, delta_1 of linearterm, has stride 1.
     """
     bound = orbit_degc_bound(F, fam.map_poly.derivative(), m, root)
-    return charpoly_interp(F, multiplier_derivative(fam, m), degc_bound=bound,
-                           m=root, stride=stride)
+    G = multiplier_derivative(fam, m)
+    if z_stride == 1:
+        return charpoly_interp(F, G, degc_bound=bound, m=root, stride=stride)
+    o = next(j for j, a in enumerate(F.coeffs) if not a.is_zero)
+    F_hat = _in_z_power(F, z_stride, o)
+    G_hat = _in_z_power(G, z_stride)
+    if o and root > 1:
+        raise ValueError("a root of F at z = 0 needs root index 1")
+    g = math.gcd(root, z_stride)
+    rho = charpoly_interp(F_hat, G_hat, degc_bound=bound * g // z_stride,
+                          m=root // g, stride=stride)
+    lin = BiPoly((-G.coeff(0), 1), "x", F.cvar)
+    return lin ** o * rho ** (z_stride // g)
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,7 +303,7 @@ def multiplier_scale(fam: Family, m: int) -> int:
 @functools.lru_cache(maxsize=None)
 def _multiplier_cached(fam: Family, m: int) -> BiPoly:
     return multiplier_resultant(fam, dynatomic(fam, m), m, root=m,
-                                stride=c_stride(fam))
+                                stride=c_stride(fam), z_stride=z_stride(fam))
 
 
 def multiplier_poly(fam: Family, m: int) -> MultiplierResult:
@@ -240,7 +315,11 @@ def multiplier_poly(fam: Family, m: int) -> MultiplierResult:
     cycle multipliers, so by c_stride it lies in Z[x][c^s] with
     s = c_stride(fam); it is interpolated in C = c^s through
     bound // s + 1 nodes, plus one node that checks the bound and the
-    stride; a mismatch raises BoundTooSmall.
+    stride; a mismatch raises BoundTooSmall.  With e = z_stride(fam) > 1
+    (linearterm), Phi*_m and (f^m)' are polynomials in z^e, up to the
+    root z = 0 of Phi*_1, and delta_m is a power of the monic root of
+    Res_w(Phi*_m^, x - (f^m)'^) that multiplier_resultant interpolates
+    from charpolys of size deg Phi*_m / e.
     """
     delta = _multiplier_cached(fam, m)
     return MultiplierResult(m=m, delta=delta, scale=multiplier_scale(fam, m))

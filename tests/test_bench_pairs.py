@@ -13,12 +13,13 @@ def _load_script():
     return module
 
 
-def _run(side, seed, wall_ref, exit=0, workload="tables"):
+def _run(side, seed, wall_ref, exit=0, workload="tables", round_min=0.3):
     rec = {"side": side, "workload": workload, "seed": seed, "exit": exit,
            "correct": exit == 0}
     if exit == 0:
         rec.update(failed=0, wall_ref=wall_ref, peak_rss_mib=18.0,
-                   setup_s=0.1, rounds=10, round_wall_s_median=0.5)
+                   setup_s=0.1, rounds=10, round_wall_s_median=0.5,
+                   round_wall_s_min=round_min)
     return rec
 
 
@@ -42,6 +43,22 @@ def test_summarize_pairs_quartiles_and_gap():
     # 12 - 9 = 3 against a parent IQR of 3: not more than it
     assert out["medians_differ_by_more_than_parent_iqr"]["wall_ref"] is False
     assert out["median_change_ratio"]["wall_ref"] == 9.0 / 12.0
+    assert out["parent"]["round_wall_s_min"] == 0.3
+
+
+def test_summarize_takes_shortest_round_per_side():
+    bp = _load_script()
+    runs = [_run("parent", 0, 20.0, round_min=0.25),
+            _run("parent", 1, 20.0, round_min=0.15),
+            _run("change", 0, 10.0, round_min=0.08),
+            _run("change", 1, None, exit=1),
+            _run("change", 0, 5.0, workload="classify", round_min=0.01)]
+    out = bp.summarize(runs, "tables")
+    assert out["parent"]["round_wall_s_min"] == 0.15
+    # the failed run has no rounds; the other workload's are not counted
+    assert out["change"]["round_wall_s_min"] == 0.08
+    assert bp.summarize([_run("change", 0, None, exit=1)],
+                        "tables")["change"]["round_wall_s_min"] is None
 
 
 def test_summarize_counts_failed_runs_as_no_win():

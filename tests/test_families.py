@@ -5,7 +5,7 @@ import pkgutil
 import pytest
 
 import dynres
-from dynres.errors import BoundTooSmall, GuardrailExceeded
+from dynres.errors import BoundTooSmall, GuardrailExceeded, NotInSubring
 from dynres.families import (
     DEGREE_CAP,
     Family,
@@ -20,6 +20,7 @@ from dynres.families import (
     multiplier_resultant,
     multiplier_scale,
     multiplier_via_product,
+    z_stride,
 )
 from dynres.numtheory import divisors, dynatomic_degree
 from dynres.polycore import BiPoly
@@ -42,6 +43,16 @@ def test_family_validation():
     assert Family("shifted", 3).map_degree == 4
     assert Family("quadcrit", 1).map_degree == 3
     assert Family("unicritical", 5).map_degree == 5
+
+
+@pytest.mark.parametrize("d", [2.0, 3.5, True, "2"])
+def test_family_degree_must_be_int(d):
+    # 2.0 would hash equal to 2 in the iterate cache, 3.5 was labelled
+    # d=3 and True acted as d = 1
+    with pytest.raises(ValueError):
+        Family("unicritical", d)
+    with pytest.raises(ValueError):
+        Family("linearterm", d)
 
 
 def test_map_polys():
@@ -156,14 +167,17 @@ def test_multiplier_derivative():
 
 
 def test_multiplier_route_agreement():
+    # linearterm d >= 2 takes delta_m from charpolys in w = z^d, and
+    # multiplier_via_product from the full f^k - z
     for kind, d in (("unicritical", 2), ("linearterm", 1),
-                    ("shifted", 2), ("quadcrit", 1)):
+                    ("linearterm", 2), ("shifted", 2), ("quadcrit", 1)):
         fam = Family(kind, d)
         for m in (1, 2, 3):
             assert multiplier_poly(fam, m).delta == multiplier_via_product(fam, m)
-    # larger cases, with Phi*_m of degree 12, 12 and 24
+    # larger cases, with Phi*_m of degree 12, 12, 24, 4 and 12
     for kind, d, m in (("unicritical", 2, 4), ("linearterm", 1, 4),
-                       ("unicritical", 3, 3)):
+                       ("unicritical", 3, 3), ("linearterm", 3, 1),
+                       ("linearterm", 3, 2)):
         fam = Family(kind, d)
         assert multiplier_poly(fam, m).delta == multiplier_via_product(fam, m)
 
@@ -249,6 +263,34 @@ def test_false_stride_raises():
     assert multiplier_poly(fam, 1).delta == delta
     with pytest.raises(BoundTooSmall):
         multiplier_resultant(fam, phi, 1, stride=2)
+
+
+def test_z_stride_from_support():
+    for d in range(1, 9):
+        assert z_stride(Family("linearterm", d)) == d
+        assert z_stride(Family("shifted", d)) == 1
+        assert z_stride(Family("quadcrit", d)) == 1
+        if d >= 2:
+            assert z_stride(Family("unicritical", d)) == 1
+
+
+@pytest.mark.parametrize("d, m_top", [(2, 3), (3, 3), (4, 2), (5, 2)])
+def test_z_quotient_multiplier_equals_full(d, m_top):
+    # delta_m of z^(d+1) + cz from the charpolys in w = z^d equals the one
+    # from the full Phi*_m; m = 1 has the root z = 0, and gcd(m, d) is 1
+    # for some rows and m or d for others
+    fam = Family("linearterm", d)
+    for m in range(1, m_top + 1):
+        full = multiplier_resultant(fam, dynatomic(fam, m), m, root=m,
+                                    stride=1)
+        assert multiplier_poly(fam, m).delta == full, (d, m)
+
+
+def test_false_z_stride_raises():
+    # Phi*_2 of z^2 + c is z^2 + z + c + 1: its z^1 term is not in z^2
+    fam = Family("unicritical", 2)
+    with pytest.raises(NotInSubring):
+        multiplier_resultant(fam, dynatomic(fam, 2), 2, root=2, z_stride=2)
 
 
 def test_conjugacy():
