@@ -6,13 +6,14 @@
 DIR is the root of a checkout; each side runs its own, unmodified
 ``perfbench/run.py`` there, one workload at a time.  The workloads and
 the run length are those of ``BENCHMARK.json`` beside this script, so a
-pair runs exactly as the benchmark does.  Pair i of a
-workload runs both sides on the i-th seed, the parent first when i is
-even and the change first when i is odd.  The rounds and round wall
-times are read from the runner's standard error, the metrics from the
-JSON line it prints last.  With ``--traced-seed``, each side then runs
-one traced round set per workload (``--seconds 1 --trace 1``) for the
-per-layer counts.
+pair runs exactly as the benchmark does.  Pair i of a workload runs
+both sides on the i-th seed, the parent first when i is even and the
+change first when i is odd.  The rounds and round wall times are read
+from the runner's standard error, the metrics from the JSON line it
+prints last; a run whose last line is not that JSON is recorded as not
+correct, with ``malformed``, and the session goes on.  With
+``--traced-seed``, each side then runs one traced round set per
+workload (``--seconds 1 --trace 1``) for the per-layer counts.
 
 The result is ``BENCH_<TAG>.json`` in the working directory: every run,
 the traced runs, and per workload each side's median and quartiles,
@@ -60,10 +61,18 @@ def run_once(root: str, workload: str, seed: int, seconds: float,
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr[-2000:])
         return rec
-    doc = json.loads(lines[-1])
-    rec.update(correct=doc["correct"], attempted=doc["attempted"],
-               failed=doc["failed"])
-    rec.update({name: m["value"] for name, m in doc["metrics"].items()})
+    try:
+        doc = json.loads(lines[-1])
+        fields = dict(correct=doc["correct"] is True,
+                      attempted=doc["attempted"], failed=doc["failed"])
+        fields.update({name: m["value"]
+                       for name, m in doc["metrics"].items()})
+    except (ValueError, KeyError, TypeError, AttributeError):
+        # not the runner's JSON line: keep the run, and the session
+        rec["malformed"] = True
+        sys.stderr.write(proc.stderr[-2000:])
+        return rec
+    rec.update(fields)
     match = ROUNDS_LINE.search(proc.stderr)
     if match:
         walls = [float(w) for w in match.group(3).split(", ")]

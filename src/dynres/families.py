@@ -25,17 +25,15 @@ each node the power sums of the root are the traces of ((f^m)')^k
 modulo F divided by the root index, and Newton's identities turn them
 into its coefficients.  The fixed-point resultants are cached; their
 Moebius product and one exact m-th root give delta_m a second,
-independent time, in multiplier_via_product.  Conjugation by
-z -> zeta z sends c to a multiple of c and keeps every multiplier
-(c_stride), so delta_m and the fixed-point resultants lie in
-Z[x][c^s] and are interpolated in C = c^s from about 1/s of the nodes.
-Rotation by z -> zeta z with zeta^e = 1 commutes with f when e divides
-j - 1 for every z-exponent j of f (z_stride, read off the support of
-the map: e = d for linearterm, 1 otherwise).  Then Phi*_m = F^(z^e)
-for m > 1 and (f^m)' = G^(z^e), so delta_m is a power of a monic root
-of Res_w(F^, x - G^), whose per-node charpolys have 1/e of the size;
-multiplier_poly takes that quotient, and fixed_point_resultant, and so
-the oracle multiplier_via_product, keep the full f^k - z.
+independent time, in multiplier_via_product.  Both strides are read off
+the support of the map.  Conjugation by z -> zeta z sends c to a
+multiple of c and keeps every multiplier (c_stride), so every
+multiplier_resultant is interpolated in C = c^s from about 1/s of the
+nodes.  Rotation by z -> zeta z with zeta^e = 1 commutes with f when e
+divides j - 1 for every z-exponent j of f (z_stride: d for linearterm,
+1 otherwise).  Then Phi*_m = F^(z^e) for m > 1 and (f^m)' = G^(z^e),
+so delta_m is a power of a monic root of Res_w(F^, x - G^), from
+charpolys of 1/e the size; the oracle keeps f^k - z, less its root 0.
 
 Dynatomic degrees grow fast.  The functions here compute whatever they
 are asked for; the size guardrail DEGREE_CAP is checked where outside
@@ -50,7 +48,7 @@ import functools
 import math
 
 from .errors import GuardrailExceeded, NotInSubring
-from .numtheory import dynatomic_degree, moebius_product
+from .numtheory import divisors, dynatomic_degree, moebius_product
 from .polycore import BiPoly, nth_root
 from .report import Verdict
 from .resultants import charpoly_interp, orbit_degc_bound
@@ -79,6 +77,7 @@ class Family:
 
     @property
     def map_degree(self) -> int:
+        # a table, so that check_degree refuses a huge d without a map
         if self.kind == "unicritical":
             return self.d
         if self.kind == "quadcrit":
@@ -170,52 +169,60 @@ def multiplier_derivative(fam: Family, m: int) -> BiPoly:
     return orbit_product(fam, fam.map_poly.derivative(), m)
 
 
-def c_stride(fam: Family) -> int:
-    """The stride s that conjugation proves: the multipliers of f_c, as
-    a multiset at each period, depend on c^s only.
+def _support(f: BiPoly) -> list[tuple[int, int]]:
+    """The exponents (i, j) of the terms c^i z^j of f."""
+    return [(i, j) for j, a in enumerate(f.coeffs)
+            for i, b in enumerate(a.coeffs) if b]
 
-    For zeta^s = 1 and phi(z) = zeta z, phi^-1 o f_c o phi = f_c' with
-      unicritical  s = d - 1,  c' = c / zeta;
-      shifted      s = d,      c' = c / zeta;
-      quadcrit     s = d + 1,  c' = zeta c;
-    linearterm z^(d+1) + cz keeps its c under every such conjugation,
-    so s = 1.  phi^-1 carries the period-k points of f_c to those of
-    f_c', and by the chain rule (f_c'^m)'(w) = (f_c^m)'(zeta w), so a
-    polynomial in c built symmetrically from these multipliers takes
-    the same value at c and at zeta c for every s-th root of unity zeta;
-    it lies in Z[c^s].  These conjugations move c; the rotations that fix
-    c, and so the map itself, are those of z_stride.  The table here is
-    not yet read off the support of the map as z_stride is.
+
+@functools.lru_cache(maxsize=None)
+def c_stride(fam: Family) -> int:
+    """The stride t that conjugation proves: the multipliers of f_c, as
+    a multiset at each period, depend on c^t only.
+
+    Let zeta be a primitive s-th root of unity and 0 <= e < s with
+    e i + j = 1 (mod s) on every term c^i z^j of f.  Then zeta^j =
+    zeta^(1 - e i) term by term, so f_c(zeta z) = zeta f_c'(z) with
+    c' = zeta^-e c: phi(z) = zeta z conjugates f_c' to f_c, carrying
+    the period-k points of f_c' to those of f_c with (f_c'^m)'(w) =
+    (f_c^m)'(zeta w).  A polynomial in c built symmetrically from these
+    multipliers is the same at c and c', and zeta^-e has order
+    t = s / gcd(e, s), so it lies in Z[c^t].  The monic z^D forces
+    s | D - 1; c_stride is the largest t over those s and all e: d - 1
+    for unicritical (e = 1), 1 for linearterm (e = 0), d for shifted
+    (e = 1), d + 1 for quadcrit (e = s - 1).  It is sound but not always
+    largest: z^4 + c^2 z gets 1, as c -> -c rotates no z.  e = 0 gives
+    the rotations of z_stride.  Cached: a fresh Family builds its map.
+
+    >>> [c_stride(Family(kind, 4)) for kind in KINDS]
+    [3, 1, 4, 5]
     """
-    d = fam.d
-    return {"unicritical": d - 1, "shifted": d, "quadcrit": d + 1,
-            "linearterm": 1}[fam.kind]
+    f = fam.map_poly
+    terms = _support(f)
+    return max(s // math.gcd(e, s) for s in divisors(f.degree - 1)
+               for e in range(s)
+               if all((e * i + j - 1) % s == 0 for i, j in terms))
 
 
 def z_stride(fam: Family) -> int:
     """The largest e with f(zeta z) = zeta f(z) for every zeta^e = 1: the
     gcd of j - 1 over the z-exponents j of the map.
 
-    With f = sum a_j(c) z^j, f(zeta z) - zeta f(z) is the sum of
-    a_j (zeta^j - zeta) z^j, which vanishes for every e-th root of unity
-    zeta exactly when e divides j - 1 for each j in the support; the
-    largest such e is the gcd, positive since the map has degree >= 2.
-    linearterm z^(d+1) + cz gives d; unicritical (j = d, 0), shifted
-    (d + 1, d, 0) and quadcrit (d + 2, 2) give 1.  The rotation commutes
-    with every iterate, f^k(zeta z) = zeta f^k(z), so by the chain rule
-    (f^m)'(zeta z) = (f^m)'(z): (f^m)' is a polynomial in z^e.  And
-    f^k(zeta z) - zeta z = zeta (f^k(z) - z), so the Moebius product
-    Phi*_m(zeta z) is zeta^[m = 1] Phi*_m(z) (the Moebius exponents over
-    k | m sum to [m = 1]): every z-exponent of Phi*_m is congruent to
-    [m = 1] modulo e.
+    With f = sum a_j(c) z^j, f(zeta z) - zeta f(z) = sum a_j (zeta^j -
+    zeta) z^j vanishes for every e-th root of unity zeta exactly when
+    e | j - 1 on the support; the largest such e is the gcd, positive as
+    deg f >= 2: d for linearterm z^(d+1) + cz, 1 for the other kinds.
+    The rotation commutes with every iterate, so by the chain rule
+    (f^m)'(zeta z) = (f^m)'(z) is a polynomial in z^e.  And
+    f^k(zeta z) - zeta z = zeta (f^k(z) - z), so Phi*_m(zeta z) is
+    zeta^[m = 1] Phi*_m(z) (the Moebius exponents over k | m sum to
+    [m = 1]): every z-exponent of Phi*_m is [m = 1] modulo e.
     """
-    return math.gcd(*(j - 1 for j, a in enumerate(fam.map_poly.coeffs)
-                      if not a.is_zero))
+    return math.gcd(*(j - 1 for _, j in _support(fam.map_poly)))
 
 
 def _in_z_power(P: BiPoly, e: int, o: int = 0) -> BiPoly:
-    """P^ with P = z^o P^(z^e); any other support of P raises
-    NotInSubring."""
+    """P^ with P = z^o P^(z^e); any other support raises NotInSubring."""
     if any(not a.is_zero for j, a in enumerate(P.coeffs)
            if j < o or (j - o) % e):
         raise NotInSubring("%s is not z^%d times a polynomial in z^%d"
@@ -224,9 +231,12 @@ def _in_z_power(P: BiPoly, e: int, o: int = 0) -> BiPoly:
 
 
 def multiplier_resultant(fam: Family, F: BiPoly, m: int, root: int = 1,
-                         stride: int = 1, z_stride: int = 1) -> BiPoly:
+                         z_stride: int = 1) -> BiPoly:
     """The monic root-th root of Res_z(F, x - (f^m)'), for F monic in z
-    with roots that f permutes; with stride s, interpolated in c^s.
+    with roots that f permutes and that the conjugation behind c_stride
+    carries to roots of F, as for Phi*_m, f^k - z and H_k.  It is
+    interpolated in C = c^s, s = c_stride(fam), through bound // s + 1
+    nodes and one that checks the bound and the stride (BoundTooSmall).
 
     (f^m)' is f' along m steps of the orbit of z, which f permutes among
     the roots of F, so the nodes come from orbit_degc_bound(F, f', m,
@@ -235,51 +245,43 @@ def multiplier_resultant(fam: Family, F: BiPoly, m: int, root: int = 1,
     max(0, v) over the roots, divided by root.  Not cached: F is
     unhashable, and every caller caches its own result.
 
-    With z_stride e > 1 the caller asserts F = z^o F^(z^e) and
-    G = (f^m)' = G^(z^e), as the rotations of the function z_stride
-    prove for Phi*_m; any other support raises NotInSubring.  The roots
-    of F are 0, o times, and the e-th roots of each root b of F^, where
-    G takes the value G^(b), so
-      Res_z(F, x - G) = (x - G(0))^o Res_w(F^, x - G^)^e.
-    With g = gcd(root, e) and o = 0, the root-th root delta has
-    delta^root = R^e for R = Res_w(F^, x - G^).  In the UFD Z[c][x] an
-    irreducible factor of multiplicity a in delta and b in R has
-    root a = e b, so root / g divides b: R = rho^(root / g) for a monic
-    rho, and delta = rho^(e / g), monic roots being unique.  rho is
-    interpolated from the charpolys of G^ modulo F^ at root index
-    root / g, with c-degree deg_c(delta) g / e <= floor(bound g / e); it
-    keeps the stride of delta, since rho(zeta c)^(e/g) = rho(c)^(e/g)
-    forces rho(zeta c) = rho(c).  A root at z = 0 (o > 0) is allowed
-    only at root 1, where g = 1 and the result is (x - G(0))^o R^e; its
-    one caller, delta_1 of linearterm, has stride 1.
+    With z_stride e the caller asserts F = z^o F^(z^e) and
+    G = (f^m)' = G^(z^e), as the function z_stride proves for Phi*_m;
+    any other support raises NotInSubring.  The roots of F are 0, o
+    times, and the e-th roots of each root b of F^, where G is G^(b), so
+    Res_z(F, x - G) = (x - G(0))^o R^e for R = Res_w(F^, x - G^).  With
+    g = gcd(root, e) and o = 0, the root-th root delta has
+    delta^root = R^e; in the UFD Z[c][x] an irreducible factor of
+    multiplicity a in delta and b in R has root a = e b, so root / g
+    divides b: R = rho^(root / g) for a monic rho, and delta = rho^(e/g),
+    monic roots being unique.  rho is interpolated from the charpolys of
+    G^ modulo F^ at root index root / g, with c-degree
+    deg_c(delta) g / e <= floor(bound g / e); it keeps the stride of
+    delta, since rho(zeta c)^(e/g) = rho(c)^(e/g) forces
+    rho(zeta c) = rho(c).  A root at z = 0 (o > 0), as in the f^k - z
+    of linearterm and quadcrit, is allowed only at root 1, where g = 1:
+    the result is (x - G(0))^o R^e, of stride s as z -> zeta z fixes 0.
     """
     bound = orbit_degc_bound(F, fam.map_poly.derivative(), m, root)
     G = multiplier_derivative(fam, m)
-    if z_stride == 1:
-        return charpoly_interp(F, G, degc_bound=bound, m=root, stride=stride)
     o = next(j for j, a in enumerate(F.coeffs) if not a.is_zero)
-    F_hat = _in_z_power(F, z_stride, o)
-    G_hat = _in_z_power(G, z_stride)
     if o and root > 1:
         raise ValueError("a root of F at z = 0 needs root index 1")
     g = math.gcd(root, z_stride)
-    rho = charpoly_interp(F_hat, G_hat, degc_bound=bound * g // z_stride,
-                          m=root // g, stride=stride)
+    rho = charpoly_interp(_in_z_power(F, z_stride, o),
+                          _in_z_power(G, z_stride),
+                          degc_bound=bound * g // z_stride, m=root // g,
+                          stride=c_stride(fam))
+    # (x - G(0))^o rho^(e/g), with no product by the constant 1 at o = 0
     lin = BiPoly((-G.coeff(0), 1), "x", F.cvar)
-    return lin ** o * rho ** (z_stride // g)
+    return functools.reduce(BiPoly.__mul__, [lin] * o, rho ** (z_stride // g))
 
 
 @functools.lru_cache(maxsize=None)
 def fixed_point_resultant(fam: Family, k: int, m: int) -> BiPoly:
-    """Res_z(f^k - z, x - (f^m)'), the m-th iterate's multipliers at the
-    points of period dividing k.
-
-    f permutes the roots of f^k - z, and the resultant is symmetric in
-    their multipliers under f^m; by c_stride it lies in Z[x][c^s] with
-    s = c_stride(fam), and it is interpolated in c^s.
-    """
-    return multiplier_resultant(fam, iterate(fam, k) - BiPoly.gen("z"), m,
-                                stride=c_stride(fam))
+    """Res_z(f^k - z, x - (f^m)'), symmetric in the m-th iterate's
+    multipliers at the points of period dividing k, which f permutes."""
+    return multiplier_resultant(fam, iterate(fam, k) - BiPoly.gen("z"), m)
 
 
 def multiplier_scale(fam: Family, m: int) -> int:
@@ -303,7 +305,7 @@ def multiplier_scale(fam: Family, m: int) -> int:
 @functools.lru_cache(maxsize=None)
 def _multiplier_cached(fam: Family, m: int) -> BiPoly:
     return multiplier_resultant(fam, dynatomic(fam, m), m, root=m,
-                                stride=c_stride(fam), z_stride=z_stride(fam))
+                                z_stride=z_stride(fam))
 
 
 def multiplier_poly(fam: Family, m: int) -> MultiplierResult:
@@ -312,13 +314,10 @@ def multiplier_poly(fam: Family, m: int) -> MultiplierResult:
     f permutes the roots of Phi*_m in cycles of length m sharing one
     (f^m)', so with root m the bound of multiplier_resultant is the sum
     of max(0, v) over the roots of Phi*_m.  delta_m is symmetric in the
-    cycle multipliers, so by c_stride it lies in Z[x][c^s] with
-    s = c_stride(fam); it is interpolated in C = c^s through
-    bound // s + 1 nodes, plus one node that checks the bound and the
-    stride; a mismatch raises BoundTooSmall.  With e = z_stride(fam) > 1
-    (linearterm), Phi*_m and (f^m)' are polynomials in z^e, up to the
-    root z = 0 of Phi*_1, and delta_m is a power of the monic root of
-    Res_w(Phi*_m^, x - (f^m)'^) that multiplier_resultant interpolates
+    cycle multipliers, so it is interpolated in c^s, s = c_stride(fam).
+    With e = z_stride(fam) > 1 (linearterm), Phi*_m and (f^m)' are
+    polynomials in z^e, up to the root z = 0 of Phi*_1, and delta_m is a
+    power of the monic root of Res_w(Phi*_m^, x - (f^m)'^), interpolated
     from charpolys of size deg Phi*_m / e.
     """
     delta = _multiplier_cached(fam, m)

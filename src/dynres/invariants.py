@@ -382,7 +382,7 @@ def aux_shifted(d: int, k: int, m: int) -> BiPoly:
     if m % k:
         raise ValueError("need k | m")
     return multiplier_resultant(Family("shifted", d),
-                                _orbit_product(d, k) ** d - 1, m, stride=d)
+                                _orbit_product(d, k) ** d - 1, m)
 
 
 def linearterm_structure_checks(d: int, k: int, m: int) -> list[Verdict]:

@@ -162,13 +162,13 @@ class _Dense:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self._new((1,))
+        # p ** 1 is p itself, with no product by the constant 1
+        result = self if n & 1 else self._new((1,))
         base = self
-        while n:
+        while n > 1:
+            base, n = base * base, n >> 1
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
         return result
 
     def exact_div(self, divisor):

@@ -1,6 +1,8 @@
 """scripts/bench_pairs.py summarizes alternating parent/change runs."""
 import importlib.util
+import json
 import pathlib
+import subprocess
 
 SCRIPT = (pathlib.Path(__file__).resolve().parent.parent / "scripts"
           / "bench_pairs.py")
@@ -74,3 +76,34 @@ def test_summarize_counts_failed_runs_as_no_win():
                                          "q3": 10.0}
     assert out["medians_differ_by_more_than_parent_iqr"]["wall_ref"] is True
     assert bp._seeds("12-14,20") == [12, 13, 14, 20]
+
+
+def test_run_once_records_malformed_output(monkeypatch):
+    # one run whose last stdout line is not the runner's JSON must not
+    # end the session: it is a run that is not correct
+    bp = _load_script()
+    good = {"correct": True, "attempted": 4, "failed": 0,
+            "metrics": {"wall_ref": {"value": 12.5}}}
+    outputs = iter(["Traceback (most recent call last)\n",
+                    '{"correct": true}\n',
+                    "[1, 2]\n",
+                    json.dumps(good) + "\n"])
+
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout=next(outputs),
+            stderr="tables: 3 round(s), wall 0.5, 0.25, 0.75 s\n")
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    bad = [bp.run_once(".", "tables", s, 20, trace=False) for s in range(3)]
+    for seed, rec in enumerate(bad):
+        assert rec == {"workload": "tables", "seed": seed, "exit": 0,
+                       "correct": False, "malformed": True}
+    rec = bp.run_once(".", "tables", 3, 20, trace=False)
+    assert "malformed" not in rec
+    assert rec["correct"] is True and rec["wall_ref"] == 12.5
+    assert rec["rounds"] == 3 and rec["round_wall_s_min"] == 0.25
+    out = bp.summarize([dict(r, side="change") for r in bad + [rec]],
+                       "tables")["change"]
+    assert out["runs"] == 4 and not out["all_correct"]
+    assert out["wall_ref"]["median"] == 12.5

@@ -1,10 +1,12 @@
 import importlib
 import inspect
 import pkgutil
+from types import SimpleNamespace
 
 import pytest
 
 import dynres
+from dynres.cli import main
 from dynres.errors import BoundTooSmall, GuardrailExceeded, NotInSubring
 from dynres.families import (
     DEGREE_CAP,
@@ -113,6 +115,19 @@ def test_guardrail():
     check_degree(fam, 6)
     # the library itself computes above the cap when asked
     assert dynatomic(fam, 7).degree == 126
+
+
+def test_guardrail_refuses_before_building_the_map(capsys):
+    # map_degree is a table: the refusal of a degree-10^9 family must not
+    # build its map, which would not finish
+    rc = main(["table", "--family", "unicritical", "--d", "1000000000",
+               "--m", "1"])
+    assert rc == 3
+    assert "guardrail" in capsys.readouterr().err
+    fam = Family("linearterm", 10 ** 9)
+    with pytest.raises(GuardrailExceeded):
+        check_degree(fam, 1)
+    assert "map_poly" not in vars(fam)
 
 
 def test_no_size_flag_in_library():
@@ -248,8 +263,9 @@ def test_strided_multiplier_equals_unstrided(kind, d, m_top):
     fam = Family(kind, d)
     assert c_stride(fam) > 1
     for m in range(1, m_top + 1):
-        plain = multiplier_resultant(fam, dynatomic(fam, m), m, root=m,
-                                     stride=1)
+        omega = multiplier_derivative(fam, m)
+        plain = charpoly_interp(dynatomic(fam, m), omega,
+                                degc_bound=_multiplier_bound(fam, m), m=m)
         assert multiplier_poly(fam, m).delta == plain, (kind, d, m)
 
 
@@ -257,12 +273,13 @@ def test_false_stride_raises():
     # delta_1 of z^2 + cz has multipliers c and 2 - c; its c^1 term
     # shows that no stride 2 holds, and the check node says so
     fam = Family("linearterm", 1)
-    phi = dynatomic(fam, 1)
+    phi, omega = dynatomic(fam, 1), multiplier_derivative(fam, 1)
+    bound = _multiplier_bound(fam, 1)
     delta = X * X - 2 * X + 2 * CX - CX * CX
-    assert multiplier_resultant(fam, phi, 1, stride=1) == delta
+    assert charpoly_interp(phi, omega, degc_bound=bound) == delta
     assert multiplier_poly(fam, 1).delta == delta
     with pytest.raises(BoundTooSmall):
-        multiplier_resultant(fam, phi, 1, stride=2)
+        charpoly_interp(phi, omega, degc_bound=bound, stride=2)
 
 
 def test_z_stride_from_support():
@@ -274,6 +291,24 @@ def test_z_stride_from_support():
             assert z_stride(Family("unicritical", d)) == 1
 
 
+def test_c_stride_from_support():
+    # the conjugation table the derived stride replaced
+    table = {"unicritical": lambda d: d - 1, "linearterm": lambda d: 1,
+             "shifted": lambda d: d, "quadcrit": lambda d: d + 1}
+    for kind, stride in table.items():
+        for d in range(2 if kind == "unicritical" else 1, 9):
+            assert c_stride(Family(kind, d)) == stride(d), (kind, d)
+    # c_stride reads only fam.map_poly, so maps outside the four kinds go
+    # through the same rule, uncached.  z^3 + cz^2 + c: z -> -z sends c
+    # to -c.
+    rule = c_stride.__wrapped__
+    assert rule(SimpleNamespace(map_poly=Z ** 3 + C * Z * Z + C)) == 2
+    # z^4 + c^2 z is the same map at c and -c, so its multipliers lie in
+    # Z[c^2]; that symmetry rotates no z, and the rule, sound but not
+    # always largest, gives 1
+    assert rule(SimpleNamespace(map_poly=Z ** 4 + C * C * Z)) == 1
+
+
 @pytest.mark.parametrize("d, m_top", [(2, 3), (3, 3), (4, 2), (5, 2)])
 def test_z_quotient_multiplier_equals_full(d, m_top):
     # delta_m of z^(d+1) + cz from the charpolys in w = z^d equals the one
@@ -281,8 +316,9 @@ def test_z_quotient_multiplier_equals_full(d, m_top):
     # for some rows and m or d for others
     fam = Family("linearterm", d)
     for m in range(1, m_top + 1):
-        full = multiplier_resultant(fam, dynatomic(fam, m), m, root=m,
-                                    stride=1)
+        omega = multiplier_derivative(fam, m)
+        full = charpoly_interp(dynatomic(fam, m), omega,
+                               degc_bound=_multiplier_bound(fam, m), m=m)
         assert multiplier_poly(fam, m).delta == full, (d, m)
 
 
