@@ -15,12 +15,13 @@ correct, with ``malformed``, and the session goes on.  With
 ``--traced-seed``, each side then runs one traced round set per
 workload (``--seconds 1 --trace 1``) for the per-layer counts.
 
-The result is ``BENCH_<TAG>.json`` in the working directory: every run,
-the traced runs, and per workload each side's median and quartiles,
-its shortest round wall time, the pairs the change won on each
-end-to-end metric (lower is better, ties count for neither side), the
-ratio of the medians, and whether the medians differ by more than the
-parent's interquartile range.
+The result is ``BENCH_<TAG>.json`` in the working directory, rewritten
+whole after every run so that a session stopped part way keeps the runs
+it made: every run, the traced runs, and per workload each side's
+median and quartiles, its shortest round wall time, the pairs the
+change won on each end-to-end metric (lower is better, ties count for
+neither side), the ratio of the medians, and whether the medians differ
+by more than the parent's interquartile range.
 """
 from __future__ import annotations
 
@@ -160,6 +161,19 @@ def _seeds(text: str) -> list[int]:
     return out
 
 
+def _write(path: str, doc: dict, runs: list[dict],
+           workloads: list[str]) -> None:
+    """doc with the summary and the runs so far, written to a temporary
+    file and moved over path, so path always holds a whole document."""
+    doc = dict(doc, summary={w: summarize(runs, w) for w in workloads},
+               runs=runs)
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True)
@@ -175,16 +189,7 @@ def main(argv=None) -> int:
     bench = json.loads(BENCHMARK.read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
-    runs = []
-    for workload in workloads:
-        for i, seed in enumerate(args.seeds):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                rec = dict(side=side, **run_once(roots[side], workload, seed,
-                                                 seconds, trace=False))
-                runs.append(rec)
-                print("%s %s seed %d: exit %d, wall_ref %s" % (
-                    workload, side, seed, rec["exit"], rec.get("wall_ref")),
-                    file=sys.stderr, flush=True)
+    path = "BENCH_%s.json" % args.tag
     doc = {
         "what": args.what,
         "command": "python3 perfbench/run.py --workload W --seed N "
@@ -197,17 +202,23 @@ def main(argv=None) -> int:
         "pairs": "seeds %s per workload (%s), parent first in even-indexed "
                  "pairs and change first in odd-indexed ones" % (
                      ",".join(map(str, args.seeds)), ", ".join(workloads)),
-        "summary": {w: summarize(runs, w) for w in workloads},
     }
+    runs = []
+    for workload in workloads:
+        for i, seed in enumerate(args.seeds):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                rec = dict(side=side, **run_once(roots[side], workload, seed,
+                                                 seconds, trace=False))
+                runs.append(rec)
+                print("%s %s seed %d: exit %d, wall_ref %s" % (
+                    workload, side, seed, rec["exit"], rec.get("wall_ref")),
+                    file=sys.stderr, flush=True)
+                _write(path, doc, runs, workloads)
     if args.traced_seed is not None:
         doc["traced_seed%d" % args.traced_seed] = {
             w: {side: _traced(roots[side], w, args.traced_seed)
                 for side in SIDES} for w in workloads}
-    doc["runs"] = runs
-    path = "BENCH_%s.json" % args.tag
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write(path, doc, runs, workloads)
     print("wrote %s" % path, file=sys.stderr)
     return 0
 

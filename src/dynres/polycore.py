@@ -19,6 +19,16 @@ IntPoly at integers, a c-polynomial for a BiPoly at a polynomial in c.
 ``NewtonPolygon`` reads the c-degrees of a ``BiPoly``'s coefficients
 as a lower convex hull.
 
+The public constructors ``IntPoly(...)`` and ``BiPoly(...)`` check
+their input: an IntPoly coefficient must be an int, a BiPoly
+coefficient an IntPoly or an int.  The result of a ring operation on
+checked polynomials is built by the private ``_new``, which strips the
+coefficients it is given and does not check them again; a BiPoly keeps
+the IntPoly coefficients it is given, from ``_new`` or from
+``BiPoly(...)`` when their variable matches, instead of copying them.
+A polynomial is never mutated once built, which is what allows that
+sharing.
+
 Everything is exact.  There is no floating point anywhere in this
 module, no modular shortcut, and every division either succeeds exactly
 or raises :class:`~dynres.errors.DivisionNotExact`.
@@ -32,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import DivisionNotExact, NotPerfectPower, ZeroPolynomial
@@ -41,7 +52,7 @@ def _strip(coeffs: Sequence) -> tuple:
     n = len(coeffs)
     while n > 0 and not coeffs[n - 1]:
         n -= 1
-    return tuple(coeffs[:n])
+    return tuple(coeffs[:n] if n < len(coeffs) else coeffs)
 
 
 def _polymul(a: Sequence, b: Sequence, zero=0) -> list:
@@ -99,7 +110,8 @@ class _Dense:
     with trailing zeros stripped.
 
     A subclass supplies ``_new`` (a polynomial of its own kind and
-    variables), ``_coerce``, ``_czero`` (its zero coefficient), ``_cdiv``
+    variables from coefficients already checked: stripped, not checked
+    again), ``_coerce``, ``_czero`` (its zero coefficient), ``_cdiv``
     (exact division of one coefficient by another) and ``_term`` (the
     text of one term).
     """
@@ -131,8 +143,9 @@ class _Dense:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return self._new([self.coeff(i) + o.coeff(i) for i in range(n)])
+        a, b = self.coeffs, o.coeffs
+        n = min(len(a), len(b))
+        return self._new([*map(add, a, b), *a[n:], *b[n:]])
 
     __radd__ = __add__
 
@@ -143,7 +156,9 @@ class _Dense:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        a, b = self.coeffs, o.coeffs
+        n = min(len(a), len(b))
+        return self._new([*map(sub, a, b), *a[n:], *[-y for y in b[n:]]])
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -163,7 +178,7 @@ class _Dense:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         # p ** 1 is p itself, with no product by the constant 1
-        result = self if n & 1 else self._new((1,))
+        result = self if n & 1 else self._coerce(1)
         base = self
         while n > 1:
             base, n = base * base, n >> 1
@@ -242,7 +257,10 @@ class IntPoly(_Dense):
         return cls((0, 1), var)
 
     def _new(self, coeffs) -> "IntPoly":
-        return IntPoly(coeffs, self.var)
+        p = object.__new__(IntPoly)
+        p.coeffs = _strip(coeffs)
+        p.var = self.var
+        return p
 
     def _coerce(self, other) -> "IntPoly | None":
         if isinstance(other, IntPoly):
@@ -304,7 +322,7 @@ class BiPoly(_Dense):
         lifted = []
         for a in coeffs:
             if isinstance(a, IntPoly):
-                lifted.append(IntPoly(a.coeffs, cvar))
+                lifted.append(a if a.var == cvar else IntPoly(a.coeffs, cvar))
             elif isinstance(a, int):
                 lifted.append(IntPoly.const(a, cvar))
             else:
@@ -340,7 +358,14 @@ class BiPoly(_Dense):
         return IntPoly((), self.cvar)
 
     def _new(self, coeffs) -> "BiPoly":
-        return BiPoly(coeffs, self.main_var, self.cvar)
+        # The ints among coeffs are the 0 placeholders of a _divmod
+        # quotient; every other coefficient is an IntPoly, kept as it is.
+        p = object.__new__(BiPoly)
+        p.coeffs = _strip([self._czero if type(a) is int else a
+                           for a in coeffs])
+        p.main_var = self.main_var
+        p.cvar = self.cvar
+        return p
 
     def _coerce(self, other) -> "BiPoly | None":
         if isinstance(other, BiPoly):
@@ -379,7 +404,7 @@ class BiPoly(_Dense):
 
     def scale_c(self, s: IntPoly) -> "BiPoly":
         """Multiply by a polynomial in c alone."""
-        return BiPoly([a * s for a in self.coeffs], self.main_var, self.cvar)
+        return self._new([a * s for a in self.coeffs])
 
     def _term(self, i: int, a: IntPoly) -> str:
         if i == 0:

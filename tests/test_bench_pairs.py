@@ -4,6 +4,8 @@ import json
 import pathlib
 import subprocess
 
+import pytest
+
 SCRIPT = (pathlib.Path(__file__).resolve().parent.parent / "scripts"
           / "bench_pairs.py")
 
@@ -107,3 +109,29 @@ def test_run_once_records_malformed_output(monkeypatch):
                        "tables")["change"]
     assert out["runs"] == 4 and not out["all_correct"]
     assert out["wall_ref"]["median"] == 12.5
+
+
+def test_main_keeps_runs_of_a_stopped_session(monkeypatch, tmp_path):
+    # the file is rewritten after every run, so the runs made before an
+    # interrupt are on disk
+    bp = _load_script()
+    calls = []
+
+    def fake_run_once(root, workload, seed, seconds, trace):
+        calls.append(seed)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return {k: v for k, v in _run(None, seed, 10.0 + len(calls)).items()
+                if k != "side"}
+
+    monkeypatch.setattr(bp, "run_once", fake_run_once)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        bp.main(["--parent", "p", "--change", "c", "--tag", "stop",
+                 "--seeds", "1-3"])
+    doc = json.loads((tmp_path / "BENCH_stop.json").read_text())
+    assert [(r["side"], r["seed"]) for r in doc["runs"]] == [
+        ("parent", 1), ("change", 1)]
+    first = doc["summary"][doc["runs"][0]["workload"]]
+    assert first["change_lower_in_pairs"]["wall_ref"] == "0/1"
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH_stop.json"]

@@ -56,9 +56,116 @@ def test_intpoly_refuses_non_int_coefficients():
             IntPoly([1, bad], "c")
         with pytest.raises(ValueError):
             IntPoly([bad])
+        with pytest.raises(ValueError):
+            BiPoly([1, bad], "z", "c")
+        with pytest.raises(ValueError):
+            BiPoly([IntPoly([1], "c"), bad])
     # nothing is truncated on the way in
     with pytest.raises(ValueError):
         IntPoly([Fraction(1, 2), 1.5, 2.9], "c")
+
+
+# BiPoly arithmetic against a reference on {(z-exponent, c-exponent):
+# coefficient} dicts with no zero values
+
+
+def _ref(P):
+    return {(i, j): b for i, a in enumerate(P.coeffs)
+            for j, b in enumerate(a.coeffs) if b}
+
+
+def _from_ref(terms):
+    width = max((i for i, _ in terms), default=-1) + 1
+    cols = [[0] * (max((j for i, j in terms), default=0) + 1)
+            for _ in range(width)]
+    for (i, j), b in terms.items():
+        cols[i][j] = b
+    return BiPoly([IntPoly(col, "c") for col in cols], "z", "c")
+
+
+def _ref_add(*ps):
+    out = {}
+    for p in ps:
+        for k, b in p.items():
+            out[k] = out.get(k, 0) + b
+    return {k: b for k, b in out.items() if b}
+
+
+def _ref_neg(p):
+    return {k: -b for k, b in p.items()}
+
+
+def _ref_mul(p, q):
+    return _ref_add(*({(i + k, j + l): a * b} for (i, j), a in p.items()
+                      for (k, l), b in q.items()))
+
+
+def _ref_pow(p, n):
+    out = {(0, 0): 1}
+    for _ in range(n):
+        out = _ref_mul(out, p)
+    return out
+
+
+def _ref_compose(p, q):
+    return _ref_add(*(_ref_mul({(0, j): a}, _ref_pow(q, i))
+                      for (i, j), a in p.items()))
+
+
+def _random_ref(rng, deg_main, deg_c=3):
+    return _ref_add({(i, j): rng.randint(-4, 4) for i in range(deg_main + 1)
+                     for j in range(rng.randint(0, deg_c))})
+
+
+def _assert_built(P, expected, operands):
+    """P is stripped, its coefficients stripped IntPolys of ints, it
+    equals the reference, and the operands are as they were."""
+    assert not P.coeffs or P.coeffs[-1]
+    for a in P.coeffs:
+        assert type(a) is IntPoly
+        assert all(type(b) is int for b in a.coeffs)
+        assert not a.coeffs or a.coeffs[-1]
+    assert _ref(P) == expected
+    for X, before in operands:
+        assert _ref(X) == before and X == _from_ref(before)
+
+
+def test_bipoly_arithmetic_against_reference():
+    rng = random.Random(20261019)
+    for _ in range(150):
+        p = _random_ref(rng, rng.randint(0, 5))
+        q = _random_ref(rng, rng.randint(0, 5))
+        low = _random_ref(rng, rng.randint(0, 2))
+        # q2 = low - p, so p + q2 cancels every term of p
+        q2 = _ref_add(low, _ref_neg(p))
+        P, Q, Q2, L = (_from_ref(t) for t in (p, q, q2, low))
+        ops = [(P, p), (Q, q), (Q2, q2), (L, low)]
+        for X, x, Y, y in ((P, p, Q, q), (Q, q, P, p), (P, p, L, low),
+                           (L, low, P, p), (P, p, Q2, q2), (Q2, q2, P, p)):
+            _assert_built(X + Y, _ref_add(x, y), ops)
+            _assert_built(X - Y, _ref_add(x, _ref_neg(y)), ops)
+        _assert_built(P + Q2, low, ops)
+        # P - (P + L): top terms of equal length cancel
+        _assert_built(P - (P + L), _ref_neg(low), ops)
+        _assert_built(P - P, {}, ops)
+        _assert_built(-P, _ref_neg(p), ops)
+        _assert_built(P * Q, _ref_mul(p, q), ops)
+        n = rng.randint(0, 3)
+        _assert_built(P ** n, _ref_pow(p, n), ops)
+        _assert_built(P.derivative(),
+                      {(i - 1, j): i * b for (i, j), b in p.items() if i},
+                      ops)
+        _assert_built(P.compose(Q), _ref_compose(p, q), ops)
+        if Q:
+            _assert_built((P * Q).exact_div(Q), p, ops)
+        # a monic divisor M and a remainder below its degree
+        k = rng.randint(1, 3)
+        m = _ref_add(_random_ref(rng, k - 1), {(k, 0): 1})
+        r = {(i, j): b for (i, j), b in low.items() if i < k}
+        M, R = _from_ref(m), _from_ref(r)
+        ops += [(M, m), (R, r)]
+        _assert_built((P * M + R).rem_monic(M), r, ops)
+        _assert_built((P * M).exact_div(M), p, ops)
 
 
 def test_intpoly_pseudo_remainder():
