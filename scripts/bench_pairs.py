@@ -12,8 +12,8 @@ change first when i is odd.  The rounds and round wall times are read
 from the runner's standard error, the metrics from the JSON line it
 prints last; a run whose last line is not that JSON is recorded as not
 correct, with ``malformed``, and the session goes on.  With
-``--traced-seed``, each side then runs one traced round set per
-workload (``--seconds 1 --trace 1``) for the per-layer counts.
+``--traced-seed``, each side then runs one traced run per workload
+(``--trace 1``, at the same run length) for the per-layer counts.
 
 The result is ``BENCH_<TAG>.json`` in the working directory, rewritten
 whole after every run so that a session stopped part way keeps the runs
@@ -138,8 +138,8 @@ def summarize(runs: list[dict], workload: str) -> dict:
     return out
 
 
-def _traced(root: str, workload: str, seed: int) -> dict:
-    rec = run_once(root, workload, seed, 1, trace=True)
+def _traced(root: str, workload: str, seed: int, seconds: float) -> dict:
+    rec = run_once(root, workload, seed, seconds, trace=True)
     keys = {"charpoly_int_s": "resultants.charpoly_int.s",
             "charpoly_int_calls": "resultants.charpoly_int.calls",
             "multiplier_poly_nodes": "families.multiplier_poly.nodes",
@@ -216,7 +216,7 @@ def main(argv=None) -> int:
                 _write(path, doc, runs, workloads)
     if args.traced_seed is not None:
         doc["traced_seed%d" % args.traced_seed] = {
-            w: {side: _traced(roots[side], w, args.traced_seed)
+            w: {side: _traced(roots[side], w, args.traced_seed, seconds)
                 for side in SIDES} for w in workloads}
     _write(path, doc, runs, workloads)
     print("wrote %s" % path, file=sys.stderr)

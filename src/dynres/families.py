@@ -25,15 +25,13 @@ each node the power sums of the root are the traces of ((f^m)')^k
 modulo F divided by the root index, and Newton's identities turn them
 into its coefficients.  The fixed-point resultants are cached; their
 Moebius product and one exact m-th root give delta_m a second,
-independent time, in multiplier_via_product.  Both strides are read off
-the support of the map.  Conjugation by z -> zeta z sends c to a
-multiple of c and keeps every multiplier (c_stride), so every
-multiplier_resultant is interpolated in C = c^s from about 1/s of the
-nodes.  Rotation by z -> zeta z with zeta^e = 1 commutes with f when e
-divides j - 1 for every z-exponent j of f (z_stride: d for linearterm,
-1 otherwise).  Then Phi*_m = F^(z^e) for m > 1 and (f^m)' = G^(z^e),
-so delta_m is a power of a monic root of Res_w(F^, x - G^), from
-charpolys of 1/e the size; the oracle keeps f^k - z, less its root 0.
+independent time, in multiplier_via_product.  charpoly_interp reads
+the symmetries that cut the work off the supports of F and (f^m)': the
+rotations z -> zeta z that commute with f (d of them for linearterm),
+by which delta_m comes from charpolys in w = z^d, and the conjugations
+that send c to zeta c, by which it is interpolated in C = c^s.
+c_stride predicts the same s from the map alone; rescale_extract
+checks the rescaled subring against it.
 
 Dynatomic degrees grow fast.  The functions here compute whatever they
 are asked for; the size guardrail DEGREE_CAP is checked where outside
@@ -47,7 +45,7 @@ import dataclasses
 import functools
 import math
 
-from .errors import GuardrailExceeded, NotInSubring
+from .errors import GuardrailExceeded
 from .numtheory import divisors, dynatomic_degree, moebius_product
 from .polycore import BiPoly, nth_root
 from .report import Verdict
@@ -169,12 +167,6 @@ def multiplier_derivative(fam: Family, m: int) -> BiPoly:
     return orbit_product(fam, fam.map_poly.derivative(), m)
 
 
-def _support(f: BiPoly) -> list[tuple[int, int]]:
-    """The exponents (i, j) of the terms c^i z^j of f."""
-    return [(i, j) for j, a in enumerate(f.coeffs)
-            for i, b in enumerate(a.coeffs) if b]
-
-
 @functools.lru_cache(maxsize=None)
 def c_stride(fam: Family) -> int:
     """The stride t that conjugation proves: the multipliers of f_c, as
@@ -191,52 +183,27 @@ def c_stride(fam: Family) -> int:
     s | D - 1; c_stride is the largest t over those s and all e: d - 1
     for unicritical (e = 1), 1 for linearterm (e = 0), d for shifted
     (e = 1), d + 1 for quadcrit (e = s - 1).  It is sound but not always
-    largest: z^4 + c^2 z gets 1, as c -> -c rotates no z.  e = 0 gives
-    the rotations of z_stride.  Cached: a fresh Family builds its map.
+    largest: z^4 + c^2 z gets 1, as c -> -c rotates no z.  It is the
+    stride of the rescaled subring of invariants.rescale_extract, a
+    prediction independent of the one charpoly_interp reads off
+    (Phi*_m, (f^m)').  Cached: a fresh Family builds its map.
 
     >>> [c_stride(Family(kind, 4)) for kind in KINDS]
     [3, 1, 4, 5]
     """
     f = fam.map_poly
-    terms = _support(f)
+    terms = f.support()
     return max(s // math.gcd(e, s) for s in divisors(f.degree - 1)
                for e in range(s)
                if all((e * i + j - 1) % s == 0 for i, j in terms))
 
 
-def z_stride(fam: Family) -> int:
-    """The largest e with f(zeta z) = zeta f(z) for every zeta^e = 1: the
-    gcd of j - 1 over the z-exponents j of the map.
-
-    With f = sum a_j(c) z^j, f(zeta z) - zeta f(z) = sum a_j (zeta^j -
-    zeta) z^j vanishes for every e-th root of unity zeta exactly when
-    e | j - 1 on the support; the largest such e is the gcd, positive as
-    deg f >= 2: d for linearterm z^(d+1) + cz, 1 for the other kinds.
-    The rotation commutes with every iterate, so by the chain rule
-    (f^m)'(zeta z) = (f^m)'(z) is a polynomial in z^e.  And
-    f^k(zeta z) - zeta z = zeta (f^k(z) - z), so Phi*_m(zeta z) is
-    zeta^[m = 1] Phi*_m(z) (the Moebius exponents over k | m sum to
-    [m = 1]): every z-exponent of Phi*_m is [m = 1] modulo e.
-    """
-    return math.gcd(*(j - 1 for _, j in _support(fam.map_poly)))
-
-
-def _in_z_power(P: BiPoly, e: int, o: int = 0) -> BiPoly:
-    """P^ with P = z^o P^(z^e); any other support raises NotInSubring."""
-    if any(not a.is_zero for j, a in enumerate(P.coeffs)
-           if j < o or (j - o) % e):
-        raise NotInSubring("%s is not z^%d times a polynomial in z^%d"
-                           % (P, o, e))
-    return BiPoly(P.coeffs[o::e], P.main_var, P.cvar)
-
-
-def multiplier_resultant(fam: Family, F: BiPoly, m: int, root: int = 1,
-                         z_stride: int = 1) -> BiPoly:
+def multiplier_resultant(fam: Family, F: BiPoly, m: int,
+                         root: int = 1) -> BiPoly:
     """The monic root-th root of Res_z(F, x - (f^m)'), for F monic in z
-    with roots that f permutes and that the conjugation behind c_stride
-    carries to roots of F, as for Phi*_m, f^k - z and H_k.  It is
-    interpolated in C = c^s, s = c_stride(fam), through bound // s + 1
-    nodes and one that checks the bound and the stride (BoundTooSmall).
+    with roots that f permutes, as for Phi*_m, f^k - z and H_k.  It is
+    resultants.charpoly_interp, which reads its symmetries off F and
+    (f^m)'.
 
     (f^m)' is f' along m steps of the orbit of z, which f permutes among
     the roots of F, so the nodes come from orbit_degc_bound(F, f', m,
@@ -244,37 +211,10 @@ def multiplier_resultant(fam: Family, F: BiPoly, m: int, root: int = 1,
     f' O(|c|^v(t)) there, so the c-degree is at most m times the sum of
     max(0, v) over the roots, divided by root.  Not cached: F is
     unhashable, and every caller caches its own result.
-
-    With z_stride e the caller asserts F = z^o F^(z^e) and
-    G = (f^m)' = G^(z^e), as the function z_stride proves for Phi*_m;
-    any other support raises NotInSubring.  The roots of F are 0, o
-    times, and the e-th roots of each root b of F^, where G is G^(b), so
-    Res_z(F, x - G) = (x - G(0))^o R^e for R = Res_w(F^, x - G^).  With
-    g = gcd(root, e) and o = 0, the root-th root delta has
-    delta^root = R^e; in the UFD Z[c][x] an irreducible factor of
-    multiplicity a in delta and b in R has root a = e b, so root / g
-    divides b: R = rho^(root / g) for a monic rho, and delta = rho^(e/g),
-    monic roots being unique.  rho is interpolated from the charpolys of
-    G^ modulo F^ at root index root / g, with c-degree
-    deg_c(delta) g / e <= floor(bound g / e); it keeps the stride of
-    delta, since rho(zeta c)^(e/g) = rho(c)^(e/g) forces
-    rho(zeta c) = rho(c).  A root at z = 0 (o > 0), as in the f^k - z
-    of linearterm and quadcrit, is allowed only at root 1, where g = 1:
-    the result is (x - G(0))^o R^e, of stride s as z -> zeta z fixes 0.
     """
-    bound = orbit_degc_bound(F, fam.map_poly.derivative(), m, root)
-    G = multiplier_derivative(fam, m)
-    o = next(j for j, a in enumerate(F.coeffs) if not a.is_zero)
-    if o and root > 1:
-        raise ValueError("a root of F at z = 0 needs root index 1")
-    g = math.gcd(root, z_stride)
-    rho = charpoly_interp(_in_z_power(F, z_stride, o),
-                          _in_z_power(G, z_stride),
-                          degc_bound=bound * g // z_stride, m=root // g,
-                          stride=c_stride(fam))
-    # (x - G(0))^o rho^(e/g), with no product by the constant 1 at o = 0
-    lin = BiPoly((-G.coeff(0), 1), "x", F.cvar)
-    return functools.reduce(BiPoly.__mul__, [lin] * o, rho ** (z_stride // g))
+    return charpoly_interp(F, multiplier_derivative(fam, m),
+                           orbit_degc_bound(F, fam.map_poly.derivative(), m,
+                                            root), m=root)
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,8 +244,7 @@ def multiplier_scale(fam: Family, m: int) -> int:
 # attribute lru_cache would add.
 @functools.lru_cache(maxsize=None)
 def _multiplier_cached(fam: Family, m: int) -> BiPoly:
-    return multiplier_resultant(fam, dynatomic(fam, m), m, root=m,
-                                z_stride=z_stride(fam))
+    return multiplier_resultant(fam, dynatomic(fam, m), m, root=m)
 
 
 def multiplier_poly(fam: Family, m: int) -> MultiplierResult:
@@ -313,12 +252,10 @@ def multiplier_poly(fam: Family, m: int) -> MultiplierResult:
 
     f permutes the roots of Phi*_m in cycles of length m sharing one
     (f^m)', so with root m the bound of multiplier_resultant is the sum
-    of max(0, v) over the roots of Phi*_m.  delta_m is symmetric in the
-    cycle multipliers, so it is interpolated in c^s, s = c_stride(fam).
-    With e = z_stride(fam) > 1 (linearterm), Phi*_m and (f^m)' are
-    polynomials in z^e, up to the root z = 0 of Phi*_1, and delta_m is a
-    power of the monic root of Res_w(Phi*_m^, x - (f^m)'^), interpolated
-    from charpolys of size deg Phi*_m / e.
+    of max(0, v) over the roots of Phi*_m.  For linearterm, Phi*_m and
+    (f^m)' are polynomials in z^d, up to the root z = 0 of Phi*_1, and
+    charpoly_interp takes delta_m as a power of a monic root of a
+    resultant in w = z^d, from charpolys of size deg Phi*_m / d.
     """
     delta = _multiplier_cached(fam, m)
     return MultiplierResult(m=m, delta=delta, scale=multiplier_scale(fam, m))

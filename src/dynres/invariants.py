@@ -344,17 +344,8 @@ def _cleared_product(d: int, m: int) -> BiPoly:
 
 @functools.lru_cache(maxsize=None)
 def aux_nonunicritical(d: int, k: int, m: int) -> BiPoly:
-    """R_{k,m} = Res_z(F_k, x - cleared_m), interpolated in c^g with
-    g = gcd(d, k).
-
-    For zeta^d = 1, ftil(zeta z) at zeta c is zeta ftil(z) at c, so
-    F_k + 1 picks up zeta^k and cleared_m picks up zeta^m.  When also
-    zeta^k = 1 (and then zeta^m = 1, as k | m), both are invariant under
-    (z, c) -> (zeta z, zeta c): the roots of the monic F_k at zeta c are
-    zeta times those at c, with the same values of cleared_m, so
-    R(zeta c) = R(c) for every g-th root of unity zeta and R lies in
-    Z[x][c^g].
-    """
+    """R_{k,m} = Res_z(F_k, x - cleared_m).  charpoly_interp reads off
+    F_k and cleared_m that it lies in Z[x][c^gcd(d, k)]."""
     # The integrality and leading-term claims about R are stated for
     # k | m only; for other pairs the resultant exists but nothing is
     # asserted about it, so refuse early instead of failing late.
@@ -363,22 +354,13 @@ def aux_nonunicritical(d: int, k: int, m: int) -> BiPoly:
     # cleared_m is (d+1) z - dc, not ftil', along the orbit.
     F_k = _orbit_product(d, k) - 1
     bound = orbit_degc_bound(F_k, _linear_factor(d), m)
-    return charpoly_interp(F_k, _cleared_product(d, m), degc_bound=bound,
-                           stride=math.gcd(d, k))
+    return charpoly_interp(F_k, _cleared_product(d, m), degc_bound=bound)
 
 
 @functools.lru_cache(maxsize=None)
 def aux_shifted(d: int, k: int, m: int) -> BiPoly:
-    """Rtilde_{k,m} = Res_z(H_k, x - G), interpolated in c^d.
-
-    For zeta^d = 1, ftil(zeta z) at zeta c is zeta ftil(z) at c, so
-    F_k + 1 picks up zeta^k, H_k = (F_k + 1)^d - 1 picks up zeta^(kd) = 1,
-    and G = (F_m + 1)^(d-1) cleared_m picks up zeta^(m(d-1) + m) = 1.
-    Both are invariant under (z, c) -> (zeta z, zeta c): the roots of
-    the monic H_k at zeta c are zeta times those at c, with the same
-    values of G, so Rtilde(zeta c) = Rtilde(c) for every d-th root of
-    unity zeta and Rtilde lies in Z[x][c^d].
-    """
+    """Rtilde_{k,m} = Res_z(H_k, x - G).  charpoly_interp reads off H_k
+    and G that it lies in Z[x][c^d]."""
     if m % k:
         raise ValueError("need k | m")
     return multiplier_resultant(Family("shifted", d),

@@ -402,6 +402,12 @@ class BiPoly(_Dense):
         """Specialize c to an integer, leaving a main-variable polynomial."""
         return IntPoly([a(c0) for a in self.coeffs], self.main_var)
 
+    def support(self) -> list[tuple[int, int]]:
+        """The exponents (i, j) of the terms c^i z^j, z the main
+        variable."""
+        return [(i, j) for j, a in enumerate(self.coeffs)
+                for i, b in enumerate(a.coeffs) if b]
+
     def scale_c(self, s: IntPoly) -> "BiPoly":
         """Multiply by a polynomial in c alone."""
         return self._new([a * s for a in self.coeffs])

@@ -5,12 +5,16 @@ Res(F, x - G) for monic F, the shape of every multiplier resultant, is
 ``charpoly_interp``: specialize c at integer nodes, take the
 characteristic polynomial of multiplication by G on the quotient ring
 modulo F at each node, and reassemble by exact Newton interpolation.
-When the caller proves that the result lies in Z[x][c^s], by a
-symmetry c -> zeta c with zeta^s = 1, the interpolation runs in
-C = c^s, and about 1/s as many nodes are needed.  One node plan serves
-every call: for odd s (s = 1 included) the nodes are balanced around 0,
-..., -1, 0, 1, ..., which keeps the specialized coefficients small, and
-for even s, where c and -c give one C, they are 0, 1, 2, ....  Per
+Two symmetries, both read off the supports of F and G and proven in
+its docstring, cut the work.  When F = z^o F^(z^e) and G = G^(z^e),
+the charpolys are those of G^ modulo F^, of 1/e the size.  When
+(w, c) -> (zeta^e' w, zeta c), zeta^s = 1, multiplies F^ by a power of
+zeta and fixes G^, the result lies in Z[x][c^s]; the interpolation
+runs in C = c^s, and about 1/s as many nodes are needed.  One node
+plan serves every call: for odd s (s = 1 included) the nodes are
+balanced around 0, ..., -1, 0, 1, ..., which keeps the specialized
+coefficients small, and for even s, where c and -c give one C, they
+are 0, 1, 2, ....  Per
 node, ``charpoly_int`` builds the n columns of the matrix M of
 multiplication by G on Z[z]/(F), n = deg F, each one z times the
 previous one reduced modulo F.  The traces of G^k are read
@@ -48,7 +52,8 @@ them.
 """
 from __future__ import annotations
 
-from math import isqrt
+import functools
+from math import gcd, isqrt
 from operator import mul
 
 from .errors import (BoundTooSmall, DivisionNotExact, NotPerfectPower,
@@ -309,38 +314,99 @@ def _node_plan(degc_bound: int, stride: int) -> list[int]:
     return list(range(low, low + top + 1))
 
 
-def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int, m: int = 1,
-                    stride: int = 1) -> BiPoly:
+def _symmetries(F: BiPoly, G: BiPoly, degc_bound: int,
+                m: int) -> tuple[int, int, int]:
+    """The (o, e, s) of ``charpoly_interp``, read off the supports of F
+    and G.
+
+    o is the z-order of F at m = 1 and 0 for m > 1, and e is the gcd of
+    j - o over the z-exponents j of F and of j over those of G, or 1
+    when that gcd is 0: F = z^o F^(z^e) and G = G^(z^e).  s is the
+    largest s <= floor(degc_bound g / e) + 1, g = gcd(m, e), with an e'
+    that gives i + e' j = e' deg F^ (mod s) on every term c^i w^j of F^
+    and i + e' j = 0 (mod s) on every term of G^.  These congruences
+    are linear in the vectors (i, j - deg F^) and (i, j), so they hold
+    on every term when they hold on the basis (p, q), (0, r) of the
+    lattice the vectors span, which Euclid's algorithm on the first
+    coordinates finds.  Such an s divides every 2 x 2 minor of the
+    vectors, and so their gcd p r unless that is 0.
+    """
+    fs, gs = F.support(), G.support()
+    o = min(j for _, j in fs) if m == 1 else 0
+    e = gcd(*(j - o for _, j in fs), *(j for _, j in gs)) or 1
+    n = (F.degree - o) // e
+    p = q = r = 0
+    for x, y in ([(i, (j - o) // e - n) for i, j in fs]
+                 + [(i, j // e) for i, j in gs]):
+        while x:
+            t = p // x
+            p, q, x, y = x, y, p - t * x, q - t * y
+        r = gcd(r, y)
+    top = degc_bound * gcd(m, e) // e + 1
+    s = next(s for s in range(top, 0, -1) if p * r % s == 0
+             and any((p + a * q) % s == a * r % s == 0 for a in range(s)))
+    return o, e, s
+
+
+def charpoly_interp(F: BiPoly, G: BiPoly, degc_bound: int,
+                    m: int = 1) -> BiPoly:
     """Res(F, x - G) for monic F via per-node integer charpolys.
 
     With m > 1 the result is instead the monic m-th root of that
-    resultant, node by node through ``charpoly_int(fc, gc, m)``.  The
-    caller passes a proven c-degree bound, degc_bound.  It may also
-    assert that every c-exponent of the result is a multiple of stride,
-    as a symmetry c -> zeta c with zeta^stride = 1 proves; the result is
-    then interpolated in C = c^stride.  The nodes are those of
-    ``_node_plan``: degc_bound // stride + 1 integers c0 with distinct
-    c0^stride, balanced around 0 for odd stride and 0, 1, ... for even
-    stride, then one extra node that checks the bound and the stride; a
-    mismatch raises BoundTooSmall.
+    resultant, which the caller asserts exists, as it does for
+    Res_z(Phi*_m, x - (f^m)') = delta_m^m.  The caller passes a proven
+    bound, degc_bound, on the c-degree of the result.  Two symmetries
+    cut the work, and both are read off the supports of F and G by
+    ``_symmetries``; no caller proves them.
+
+    The z-quotient.  F = z^o F^(z^e) and G = G^(z^e), with o = 0 for
+    m > 1.  The roots of F are 0, o times, and for each root b of F^
+    the e roots of z^e = b, at each of which G is G^(b).  So
+    Res_z(F, x - G) = (x - G(0))^o R^e with R = Res_w(F^, x - G^).  Let
+    g = gcd(m, e).  At m = 1, g = 1 and R is interpolated as it is.  For
+    m > 1, o = 0 and the m-th root delta has delta^m = R^e.  In the UFD
+    Z[c][x], an irreducible factor of multiplicity a in delta and b in R
+    has m a = e b, so m / g divides b: R = rho^(m/g) for a monic rho,
+    and delta = rho^(e/g), monic roots being unique.  So rho is
+    interpolated, from the charpolys of G^ modulo F^ at root index
+    m / g, and the result is (x - G(0))^o rho^(e/g).  Its c-degree is
+    o deg_c G(0) + (e / g) deg_c rho, so rho has c-degree at most
+    bound = floor(degc_bound g / e).
+
+    The c-stride.  Let zeta be a primitive s-th root of unity, and e' an
+    integer with i + e' j = e' deg F^ (mod s) on every term c^i w^j of
+    F^ and i + e' j = 0 (mod s) on every term of G^.  Then
+    F^(zeta^e' w, zeta c) = zeta^(e' deg F^) F^(w, c) and
+    G^(zeta^e' w, zeta c) = G^(w, c): the roots of F^ at zeta c are
+    zeta^e' times those at c, with the same values of G^.  So
+    R(zeta c) = R(c), and rho(zeta c) = rho(c), monic roots being
+    unique: rho lies in Z[x][c^s].  It is interpolated in C = c^s, for
+    the largest such s up to bound + 1 (beyond it, every s needs the
+    same one node).  The nodes are those of ``_node_plan``:
+    bound // s + 1 integers c0 with distinct c0^s, balanced around 0
+    for odd s and 0, 1, ... for even s, then one extra node that checks
+    the bound and the stride; a mismatch raises BoundTooSmall.
     """
     if not F.is_monic:
         raise ValueError("interpolation charpoly needs F monic")
-    if stride < 1:
-        raise ValueError("stride must be positive")
-    nodes = _node_plan(degc_bound, stride)
-    values = [charpoly_int(F.specialize_c_int(c0).coeffs,
-                           G.specialize_c_int(c0).coeffs, m)
+    o, e, s = _symmetries(F, G, degc_bound, m)
+    g = gcd(m, e)
+    Fw = BiPoly(F.coeffs[o::e], F.main_var, F.cvar)
+    Gw = BiPoly(G.coeffs[::e], G.main_var, G.cvar)
+    nodes = _node_plan(degc_bound * g // e, s)
+    values = [charpoly_int(Fw.specialize_c_int(c0).coeffs,
+                           Gw.specialize_c_int(c0).coeffs, m // g)
               for c0 in nodes]
     try:
-        result = interpolate_intpolys(nodes[:-1], values[:-1], "x", F.cvar,
-                                      stride)
+        rho = interpolate_intpolys(nodes[:-1], values[:-1], "x", F.cvar, s)
     except DivisionNotExact as exc:
         raise BoundTooSmall(
             "degree bound %d failed verification" % degc_bound) from exc
-    if result.specialize_c_int(nodes[-1]) != values[-1]:
+    if rho.specialize_c_int(nodes[-1]) != values[-1]:
         raise BoundTooSmall("degree bound %d failed verification" % degc_bound)
-    return result
+    # (x - G(0))^o rho^(e/g), with no product by the constant 1 at o = 0
+    lin = BiPoly((-G.coeff(0), 1), "x", F.cvar)
+    return functools.reduce(BiPoly.__mul__, [lin] * o, rho ** (e // g))
 
 
 # ---------------------------------------------------------------------------

@@ -135,3 +135,29 @@ def test_main_keeps_runs_of_a_stopped_session(monkeypatch, tmp_path):
     first = doc["summary"][doc["runs"][0]["workload"]]
     assert first["change_lower_in_pairs"]["wall_ref"] == "0/1"
     assert [p.name for p in tmp_path.iterdir()] == ["BENCH_stop.json"]
+
+
+def test_traced_runs_at_the_benchmark_run_length(monkeypatch, tmp_path):
+    # the traced runs are as long as the untimed ones, the run_seconds of
+    # BENCHMARK.json, so that their layer times compare
+    bp = _load_script()
+    seconds = json.loads(bp.BENCHMARK.read_text())["run_seconds"]
+    calls = []
+
+    def fake_run_once(root, workload, seed, secs, trace):
+        calls.append((seed, secs, trace))
+        rec = {k: v for k, v in _run(None, seed, 10.0).items() if k != "side"}
+        if trace:
+            rec["resultants.charpoly_int.calls"] = 7
+        return rec
+
+    monkeypatch.setattr(bp, "run_once", fake_run_once)
+    monkeypatch.chdir(tmp_path)
+    bp.main(["--parent", "p", "--change", "c", "--tag", "tr", "--seeds", "1",
+             "--traced-seed", "11"])
+    traced = [c for c in calls if c[2]]
+    assert traced and all(c == (11, seconds, True) for c in traced)
+    assert all(secs == seconds for _, secs, _ in calls)
+    doc = json.loads((tmp_path / "BENCH_tr.json").read_text())
+    for sides in doc["traced_seed11"].values():
+        assert sides["change"]["charpoly_int_calls"] == 7

@@ -7,9 +7,11 @@ import pytest
 
 import dynres
 from dynres.cli import main
-from dynres.errors import BoundTooSmall, GuardrailExceeded, NotInSubring
+from dynres import resultants
+from dynres.errors import BoundTooSmall, GuardrailExceeded
 from dynres.families import (
     DEGREE_CAP,
+    KINDS,
     Family,
     c_stride,
     check_degree,
@@ -22,11 +24,11 @@ from dynres.families import (
     multiplier_resultant,
     multiplier_scale,
     multiplier_via_product,
-    z_stride,
 )
 from dynres.numtheory import divisors, dynatomic_degree
 from dynres.polycore import BiPoly
-from dynres.resultants import charpoly_interp, orbit_degc_bound
+from dynres.resultants import (_symmetries, charpoly_interp,
+                               charpoly_sylvester, orbit_degc_bound)
 
 Z = BiPoly.gen("z")
 C = BiPoly.cgen("z")
@@ -254,22 +256,31 @@ def test_multiplier_bound_one_short_raises():
         charpoly_interp(phi, omega, degc_bound=bound - 1, m=m)
 
 
+def _plain(monkeypatch, F, G, bound, m):
+    """charpoly_interp with the symmetries forced to (o, e, s) =
+    (0, 1, 1): no z-quotient, interpolation in c itself."""
+    with monkeypatch.context() as patch:
+        patch.setattr(resultants, "_symmetries", lambda *args: (0, 1, 1))
+        return charpoly_interp(F, G, degc_bound=bound, m=m)
+
+
 @pytest.mark.parametrize("kind, d, m_top", [
     ("unicritical", 3, 3), ("unicritical", 4, 3), ("shifted", 2, 3),
     ("shifted", 3, 2), ("quadcrit", 1, 3), ("quadcrit", 2, 3)])
-def test_strided_multiplier_equals_unstrided(kind, d, m_top):
+def test_strided_multiplier_equals_unstrided(kind, d, m_top, monkeypatch):
     # delta_m is interpolated in c^s, s = c_stride(fam) > 1 here; the
     # same resultant interpolated in c must be the same polynomial
     fam = Family(kind, d)
     assert c_stride(fam) > 1
     for m in range(1, m_top + 1):
-        omega = multiplier_derivative(fam, m)
-        plain = charpoly_interp(dynatomic(fam, m), omega,
-                                degc_bound=_multiplier_bound(fam, m), m=m)
-        assert multiplier_poly(fam, m).delta == plain, (kind, d, m)
+        delta = multiplier_poly(fam, m).delta
+        plain = _plain(monkeypatch, dynatomic(fam, m),
+                       multiplier_derivative(fam, m),
+                       _multiplier_bound(fam, m), m)
+        assert delta == plain, (kind, d, m)
 
 
-def test_false_stride_raises():
+def test_false_stride_raises(monkeypatch):
     # delta_1 of z^2 + cz has multipliers c and 2 - c; its c^1 term
     # shows that no stride 2 holds, and the check node says so
     fam = Family("linearterm", 1)
@@ -278,17 +289,34 @@ def test_false_stride_raises():
     delta = X * X - 2 * X + 2 * CX - CX * CX
     assert charpoly_interp(phi, omega, degc_bound=bound) == delta
     assert multiplier_poly(fam, 1).delta == delta
+    monkeypatch.setattr(resultants, "_symmetries", lambda *args: (0, 1, 2))
     with pytest.raises(BoundTooSmall):
-        charpoly_interp(phi, omega, degc_bound=bound, stride=2)
+        charpoly_interp(phi, omega, degc_bound=bound)
 
 
-def test_z_stride_from_support():
-    for d in range(1, 9):
-        assert z_stride(Family("linearterm", d)) == d
-        assert z_stride(Family("shifted", d)) == 1
-        assert z_stride(Family("quadcrit", d)) == 1
-        if d >= 2:
-            assert z_stride(Family("unicritical", d)) == 1
+def test_symmetries_of_multiplier_resultants():
+    # on (Phi*_m, (f^m)') the z-quotient is the rotation z -> zeta z,
+    # zeta^d = 1, of linearterm z^(d+1) + cz, whose Phi*_1 keeps the root
+    # z = 0 apart, and the c-stride is the one conjugation gives
+    for kind in KINDS:
+        for d in range(2 if kind == "unicritical" else 1, 5):
+            fam = Family(kind, d)
+            e = d if kind == "linearterm" else 1
+            for m in (1, 2, 3):
+                o = 1 if m == 1 and kind in ("linearterm", "quadcrit") else 0
+                got = _symmetries(dynatomic(fam, m),
+                                  multiplier_derivative(fam, m),
+                                  _multiplier_bound(fam, m), m)
+                assert got == (o, e, c_stride(fam)), (kind, d, m)
+    # z^4 + c^2 z is the same map at c and -c, a symmetry that rotates
+    # no z and that c_stride misses (test_c_stride_from_support); on
+    # (f - z, f') it is read off: f - z = z (w + c^2 - 1) and
+    # f' = 4w + c^2 in w = z^3, and the result lies in Z[x][c^2]
+    F, G = Z ** 4 + (C * C - 1) * Z, 4 * Z ** 3 + C * C
+    assert _symmetries(F, G, 8, 1) == (1, 3, 2)
+    rho = X - 4 + 3 * CX * CX
+    assert charpoly_interp(F, G, degc_bound=8) == (X - CX * CX) * rho ** 3
+    assert charpoly_interp(F, G, degc_bound=8) == charpoly_sylvester(F, G)
 
 
 def test_c_stride_from_support():
@@ -310,23 +338,17 @@ def test_c_stride_from_support():
 
 
 @pytest.mark.parametrize("d, m_top", [(2, 3), (3, 3), (4, 2), (5, 2)])
-def test_z_quotient_multiplier_equals_full(d, m_top):
+def test_z_quotient_multiplier_equals_full(d, m_top, monkeypatch):
     # delta_m of z^(d+1) + cz from the charpolys in w = z^d equals the one
     # from the full Phi*_m; m = 1 has the root z = 0, and gcd(m, d) is 1
     # for some rows and m or d for others
     fam = Family("linearterm", d)
     for m in range(1, m_top + 1):
-        omega = multiplier_derivative(fam, m)
-        full = charpoly_interp(dynatomic(fam, m), omega,
-                               degc_bound=_multiplier_bound(fam, m), m=m)
-        assert multiplier_poly(fam, m).delta == full, (d, m)
-
-
-def test_false_z_stride_raises():
-    # Phi*_2 of z^2 + c is z^2 + z + c + 1: its z^1 term is not in z^2
-    fam = Family("unicritical", 2)
-    with pytest.raises(NotInSubring):
-        multiplier_resultant(fam, dynatomic(fam, 2), 2, root=2, z_stride=2)
+        delta = multiplier_poly(fam, m).delta
+        full = _plain(monkeypatch, dynatomic(fam, m),
+                      multiplier_derivative(fam, m),
+                      _multiplier_bound(fam, m), m)
+        assert delta == full, (d, m)
 
 
 def test_conjugacy():

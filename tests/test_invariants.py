@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from dynres import invariants
+from dynres import invariants, resultants
 from dynres.errors import NotInSubring
 from dynres.families import (Family, c_stride, fixed_point_resultant,
                              iterate, multiplier_derivative, multiplier_poly,
@@ -37,7 +37,8 @@ from dynres.invariants import (
 )
 from dynres.numtheory import divisors
 from dynres.polycore import BiPoly, IntPoly
-from dynres.resultants import charpoly_interp, charpoly_sylvester
+from dynres.resultants import (_symmetries, charpoly_interp,
+                               charpoly_sylvester, orbit_degc_bound)
 from test_resultants import degc_cap
 
 FAM2 = Family("unicritical", 2)
@@ -369,10 +370,31 @@ def _strided_cases(kind, d):
     ("quadcrit", 1), ("quadcrit", 2),
     ("linearterm", 2), ("linearterm", 4),
 ])
-def test_strided_resultants(kind, d):
+def test_strided_resultants(kind, d, monkeypatch):
     for R, F, G, stride in _strided_cases(kind, d):
-        plain = charpoly_interp(F, G, degc_bound=degc_cap(F, G))
+        # the reference is forced to (o, e, s) = (0, 1, 1): no z-quotient,
+        # interpolation in c itself
+        with monkeypatch.context() as patch:
+            patch.setattr(resultants, "_symmetries", lambda *args: (0, 1, 1))
+            plain = charpoly_interp(F, G, degc_bound=degc_cap(F, G))
         assert R == plain
         assert _exponent_gcd(plain) % stride == 0
         if F.degree + G.degree <= 12:
             assert R == charpoly_sylvester(F, G)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_aux_symmetries(d):
+    # charpoly_interp reads off the inputs of aux_nonunicritical the
+    # stride gcd(d, k), and off those of aux_shifted the stride d
+    shifted = Family("shifted", d)
+    z = BiPoly.gen("z")
+    for k, m in ((1, 1), (1, 2), (2, 2), (1, 3), (3, 3)):
+        F_k = orbit_product(shifted, z, k) - 1
+        bound = orbit_degc_bound(F_k, invariants._linear_factor(d), m)
+        assert _symmetries(F_k, invariants._cleared_product(d, m), bound,
+                           1) == (0, 1, math.gcd(d, k)), (d, k, m)
+        H_k = (F_k + 1) ** d - 1
+        bound = orbit_degc_bound(H_k, shifted.map_poly.derivative(), m)
+        assert _symmetries(H_k, multiplier_derivative(shifted, m), bound,
+                           1) == (0, 1, d), (d, k, m)

@@ -3,6 +3,7 @@ import random
 
 from dynres.polycore import BiPoly, IntPoly, _divmod, nth_root
 from dynres.resultants import (
+    _symmetries,
     charpoly_int,
     charpoly_interp,
     charpoly_sylvester,
@@ -49,6 +50,50 @@ def test_resultant_route_agreement():
         G = random_bipoly(rng, rng.randint(0, 3), rng.randint(0, 2), bound=5)
         assert (charpoly_interp(F, G, degc_bound=degc_cap(F, G))
                 == charpoly_sylvester(F, G))
+
+
+def symmetric_bipoly(rng, degree, e, o, s, step, base, monic=False):
+    """z^o P(z^e) for a random P of the given degree in w = z^e, with
+    P(0) != 0, whose every term c^i w^j has i = base - step j (mod s)."""
+    cols = [IntPoly((), "c")] * o
+    for j in range(degree + 1):
+        i0 = (base - step * j) % s
+        coeffs = [0] * (i0 + s * rng.randint(0, 1) + 1)
+        for i in range(i0, len(coeffs), s):
+            coeffs[i] = rng.randint(-5, 5)
+        if j == 0 and not any(coeffs):
+            coeffs[i0] = 1
+        cols.append(IntPoly(coeffs, "c"))
+        if j < degree:
+            cols += [IntPoly((), "c")] * (e - 1)
+    if monic:
+        cols[-1] = IntPoly((1,), "c")
+    return BiPoly(cols, "z", "c")
+
+
+def test_charpoly_interp_symmetric_supports():
+    # F = z^o F^(z^e) and G = G^(z^e) with F^(zeta^e' w, zeta c) =
+    # zeta^(e' n) F^ and G^(zeta^e' w, zeta c) = G^, zeta^s = 1, e' = step:
+    # both the z-quotient and the c-stride of charpoly_interp fire, and
+    # its result must be the Sylvester oracle's
+    rng = random.Random(20240908)
+    fired = 0
+    for _ in range(60):
+        e, s, o = rng.choice((2, 3)), rng.choice((2, 3)), rng.randint(0, 2)
+        step = rng.randrange(s)
+        n = rng.randint(1, (12 - o) // e - 1)
+        gdeg = rng.randint(0, (12 - o) // e - n)
+        F = symmetric_bipoly(rng, n, e, o, s, step, step * n, monic=True)
+        G = symmetric_bipoly(rng, gdeg, e, 0, s, step, 0)
+        if G.is_zero:
+            continue
+        assert F.degree + G.degree <= 12
+        bound = degc_cap(F, G)
+        got = _symmetries(F, G, bound, 1)
+        fired += got[1] > 1 and got[2] > 1
+        assert charpoly_interp(F, G, degc_bound=bound) == \
+            charpoly_sylvester(F, G), (F, G, got)
+    assert fired >= 30
 
 
 def test_resultant_specialization_commutes():

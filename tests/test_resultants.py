@@ -1,10 +1,12 @@
 import pytest
 
+from dynres import resultants
 from dynres.errors import (BoundTooSmall, DivisionNotExact, NotPerfectPower,
                            ZeroPolynomial)
 from dynres.polycore import BiPoly, IntPoly
 from dynres.resultants import (
     _node_plan,
+    _symmetries,
     bareiss_det,
     charpoly_int,
     charpoly_interp,
@@ -230,21 +232,23 @@ def test_bound_too_small():
     assert charpoly_interp(z - c, z - 1, degc_bound=1) == x - cx + 1
 
 
-def test_unjustified_stride_caught():
+def test_unjustified_stride_caught(monkeypatch):
     z = BiPoly.gen("z")
     c = BiPoly.cgen("z")
     x = BiPoly.gen("x")
     cx = BiPoly.cgen("x")
-    # Res_z(z - c, x - z) = x - c is not in Z[x][c^2]: interpolated from
-    # the one node c = 0 it reads x, and the check node c = 1 refuses it
-    with pytest.raises(BoundTooSmall):
-        charpoly_interp(z - c, z, degc_bound=1, stride=2)
+    # x - c^2 is in Z[x][c^2], read off z - c^2 and z, and stride 2
+    # needs one node fewer
+    assert _symmetries(z - c * c, z, 2, 1) == (0, 1, 2)
+    assert charpoly_interp(z - c * c, z, degc_bound=2) == x - cx * cx
+    # Res_z(z - c, x - z) = x - c is not in Z[x][c^2]: forced to stride 2
+    # it is interpolated from the one node c = 0 and reads x, and the
+    # check node c = 1 refuses it
+    assert _symmetries(z - c, z, 1, 1) == (0, 1, 1)
     assert charpoly_interp(z - c, z, degc_bound=1) == x - cx
-    # x - c^2 is in Z[x][c^2], and stride 2 needs one node fewer
-    assert charpoly_interp(z - c * c, z, degc_bound=2, stride=2) == x - cx * cx
-    for stride in (0, -1):
-        with pytest.raises(ValueError):
-            charpoly_interp(z - c, z, degc_bound=1, stride=stride)
+    monkeypatch.setattr(resultants, "_symmetries", lambda *args: (0, 1, 2))
+    with pytest.raises(BoundTooSmall):
+        charpoly_interp(z - c, z, degc_bound=1)
 
 
 def test_zero_polynomial_refused():
