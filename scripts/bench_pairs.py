@@ -11,21 +11,26 @@ both sides on the i-th seed, the parent first when i is even and the
 change first when i is odd.  The rounds and round wall times are read
 from the runner's standard error, the metrics from the JSON line it
 prints last; a run whose last line is not that JSON is recorded as not
-correct, with ``malformed``, and the session goes on.  With
-``--traced-seed``, each side then runs one traced run per workload
-(``--trace 1``, at the same run length) for the per-layer counts.
+correct, with ``malformed``, and the session goes on.  A run that exits
+non-zero keeps the last line of its standard error as ``stderr_tail``,
+so that the runner's short-round ``StatisticsError`` reads apart from a
+fault of the program under test.  With ``--traced-seed``, each side
+then runs one traced run per workload (``--trace 1``, at the same run
+length) for the per-layer counts.
 
 The result is ``BENCH_<TAG>.json`` in the working directory, rewritten
 whole after every run so that a session stopped part way keeps the runs
 it made: every run, the traced runs, and per workload each side's
-median and quartiles, its shortest round wall time, the pairs the
-change won on each end-to-end metric (lower is better, ties count for
-neither side), the ratio of the medians, and whether the medians differ
-by more than the parent's interquartile range.
+median and quartiles, its shortest round wall time, its non-zero exits
+counted by ``stderr_tail``, the pairs the change won on each end-to-end
+metric (lower is better, ties count for neither side), the ratio of the
+medians, and whether the medians differ by more than the parent's
+interquartile range.
 """
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import pathlib
@@ -56,8 +61,11 @@ def run_once(root: str, workload: str, seed: int, seconds: float,
         proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
+        rec["stderr_tail"] = "timed out after %d s" % TIMEOUT_S
         return rec
     rec["exit"] = proc.returncode
+    if proc.returncode != 0:
+        rec["stderr_tail"] = (proc.stderr.strip().splitlines() or [""])[-1]
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr[-2000:])
@@ -98,7 +106,8 @@ def summarize(runs: list[dict], workload: str) -> dict:
     """Both sides' spreads and the pairwise comparison for one workload.
 
     A run that exited non-zero carries no metrics; it counts in ``runs``
-    and ``all_exit_0``, and a pair that has it wins for neither side.
+    and ``all_exit_0``, and under its ``stderr_tail`` in ``nonzero_exits``,
+    and a pair that has it wins for neither side.
     """
     mine = [r for r in runs if r["workload"] == workload]
     out: dict = {}
@@ -114,6 +123,9 @@ def summarize(runs: list[dict], workload: str) -> dict:
         sums.update(runs=len(rs),
                     all_exit_0=all(r["exit"] == 0 for r in rs),
                     all_correct=all(r["correct"] for r in rs),
+                    nonzero_exits=dict(collections.Counter(
+                        r.get("stderr_tail", "") for r in rs
+                        if r["exit"] != 0)),
                     failed=sum(r.get("failed", 0) for r in rs))
         out[side] = sums
     by_seed = {(r["seed"], r["side"]): r for r in mine}
@@ -142,12 +154,14 @@ def _traced(root: str, workload: str, seed: int, seconds: float) -> dict:
     rec = run_once(root, workload, seed, seconds, trace=True)
     keys = {"charpoly_int_s": "resultants.charpoly_int.s",
             "charpoly_int_calls": "resultants.charpoly_int.calls",
+            "charpoly_interp_attempts": "resultants.charpoly_interp.attempts",
             "multiplier_poly_nodes": "families.multiplier_poly.nodes",
             "multiplier_poly_node_yield":
                 "families.multiplier_poly.node_yield"}
     out = {short: rec[name] for short, name in keys.items() if name in rec}
     out.update({k: rec[k] for k in ("round_wall_s_median", "round_wall_s_min",
-                                    "rounds", "exit", "correct", "failed")
+                                    "rounds", "exit", "stderr_tail",
+                                    "correct", "failed")
                 if k in rec})
     return out
 

@@ -17,8 +17,9 @@ the orbit of z, and (f^m)' is the orbit product of f' over m steps.
 The multiplier polynomial delta_m, whose m-th power is
 Res_z(Phi*_m, x - (f^m)'), the fixed-point resultants
 Res_z(f^k - z, x - (f^m)') and the shifted family's auxiliary
-resultants are all multiplier_resultant: Res_z(F, x - (f^m)') for a
-monic F whose roots f permutes, or its monic root-th root.  It is
+resultants, one for each cyclotomic factor Phi_e(P_k) of
+H_k = P_k^d - 1, are all multiplier_resultant: Res_z(F, x - (f^m)')
+for a monic F whose roots f permutes, or its monic root-th root.  It is
 interpolated from integer nodes by resultants.charpoly_interp, and
 the number of nodes comes from the proven bound orbit_degc_bound.  At
 each node the power sums of the root are the traces of ((f^m)')^k

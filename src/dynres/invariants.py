@@ -359,12 +359,34 @@ def aux_nonunicritical(d: int, k: int, m: int) -> BiPoly:
 
 @functools.lru_cache(maxsize=None)
 def aux_shifted(d: int, k: int, m: int) -> BiPoly:
-    """Rtilde_{k,m} = Res_z(H_k, x - G).  charpoly_interp reads off H_k
-    and G that it lies in Z[x][c^d]."""
+    """Rtilde_{k,m} = Res_z(H_k, x - G), H_k = P_k^d - 1 with P_k the
+    orbit product F_k + 1 and G = (f^m)', as the product over e | d of
+    Res_z(Phi_e(P_k), x - G), Phi_e the e-th cyclotomic polynomial.
+
+    The split is exact.  P^d - 1 is the product over e | d of Phi_e(P).
+    Each Phi_e(P_k) is monic in z, as P_k and Phi_e are.  f permutes
+    its roots: f^k - z = (z - c) H_k, so a root alpha has
+    f^k(alpha) = alpha, hence P_k(f(alpha)) = P_k(alpha) and f(alpha)
+    is a root of the same factor; f is injective on the points of period
+    dividing k, so it maps the roots onto themselves.  Res_z is
+    multiplicative in a monic first argument,
+    Res_z(A B, x - G) = Res_z(A, x - G) Res_z(B, x - G).  So each factor
+    is a multiplier_resultant of its own, with its own proven
+    orbit_degc_bound, and charpoly_interp reads each factor's symmetries
+    off it.  With zeta^d = 1, (z, c) -> (zeta z, zeta c) fixes G and
+    multiplies P_k by zeta^k, and Phi_e(x) is a polynomial in
+    x^(e / rad e), so a factor keeps the c-stride gcd(d, k e / rad e)
+    where H_k as a whole has d.  The fixed-point resultant stays on the
+    whole f^k - z, so the identity resultant-split-fixed-factor still
+    compares two independent computations.
+    """
     if m % k:
         raise ValueError("need k | m")
-    return multiplier_resultant(Family("shifted", d),
-                                _orbit_product(d, k) ** d - 1, m)
+    fam = Family("shifted", d)
+    P = _orbit_product(d, k)
+    return functools.reduce(BiPoly.__mul__, [
+        multiplier_resultant(fam, BiPoly(cyclotomic(e).coeffs).compose(P), m)
+        for e in divisors(d)])
 
 
 def linearterm_structure_checks(d: int, k: int, m: int) -> list[Verdict]:

@@ -12,7 +12,9 @@ on coefficient lists of ints and of IntPolys alike.  ``_divmod`` is
 behind ``exact_div``, the IntPoly pseudo-remainder ``prem``, the
 BiPoly remainder ``rem_monic`` and the multiplication matrices of
 ``resultants``; ``_descending`` is behind both ``__str__`` methods and
-``serialize.poly_terms``.
+``serialize.poly_terms``.  ``_polymul`` takes a square, ``p * p`` and
+so each squaring step of ``**``, with about half the coefficient
+products, since the cross terms a_i a_j and a_j a_i are one product.
 Evaluation at a rational point is ``_Dense.cleared_eval``, one
 homogeneous Horner loop for den^n P(num/den): an integer for an
 IntPoly at integers, a c-polynomial for a BiPoly at a polynomial in c.
@@ -57,11 +59,25 @@ def _strip(coeffs: Sequence) -> tuple:
 
 def _polymul(a: Sequence, b: Sequence, zero=0) -> list:
     """Dense product of two ascending coefficient lists of ints or of
-    IntPolys; zero coefficients on either side are skipped."""
+    IntPolys; zero coefficients on either side are skipped.
+
+    A square, a is b, forms each cross product a_i a_j with i < j once
+    and doubles the sums before the diagonal a_i^2 is added: about half
+    the coefficient products of the general loop.  An IntPoly
+    coefficient squared on that diagonal is itself such a square.
+    """
     if not a or not b:
         return []
     nonzero = [(j, y) for j, y in enumerate(b) if y]
     out = [zero] * (len(a) + len(b) - 1)
+    if a is b:
+        for k, (i, x) in enumerate(nonzero):
+            for j, y in nonzero[k + 1:]:
+                out[i + j] += x * y
+        out = [v + v for v in out]
+        for i, x in nonzero:
+            out[2 * i] += x * x
+        return out
     for i, x in enumerate(a):
         if x:
             for j, y in nonzero:

@@ -161,3 +161,48 @@ def test_traced_runs_at_the_benchmark_run_length(monkeypatch, tmp_path):
     doc = json.loads((tmp_path / "BENCH_tr.json").read_text())
     for sides in doc["traced_seed11"].values():
         assert sides["change"]["charpoly_int_calls"] == 7
+
+
+def test_nonzero_exits_keep_their_stderr_tail(monkeypatch):
+    # a short-round StatisticsError of the runner and a fault of the
+    # program both exit 1; the last line of stderr tells them apart
+    bp = _load_script()
+    short = ("Traceback (most recent call last):\n"
+             '  File "perfbench/run.py", line 1, in <module>\n'
+             "statistics.StatisticsError: fmean requires at least one "
+             "data point\n")
+    fault = "Traceback (most recent call last):\nAssertionError: bad\n\n"
+    results = iter([(1, short), (1, fault), (1, short), (2, "")])
+
+    def fake_run(cmd, **kwargs):
+        code, err = next(results)
+        return subprocess.CompletedProcess(cmd, code, stdout="", stderr=err)
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    recs = [dict(bp.run_once(".", "tables", s, 20, trace=False), side=side)
+            for s, side in enumerate(("change", "change", "parent",
+                                      "parent"))]
+    tail = ("statistics.StatisticsError: fmean requires at least one "
+            "data point")
+    assert recs[0]["stderr_tail"] == recs[2]["stderr_tail"] == tail
+    assert recs[1]["stderr_tail"] == "AssertionError: bad"
+    assert recs[3]["stderr_tail"] == "" and recs[3]["exit"] == 2
+    ok = _run("change", 9, 10.0)
+    assert "stderr_tail" not in ok
+    out = bp.summarize(recs + [ok], "tables")
+    assert out["change"]["nonzero_exits"] == {tail: 1,
+                                              "AssertionError: bad": 1}
+    assert out["parent"]["nonzero_exits"] == {tail: 1, "": 1}
+    assert bp.summarize([ok], "tables")["change"]["nonzero_exits"] == {}
+
+
+def test_timed_out_run_says_so(monkeypatch):
+    bp = _load_script()
+
+    def fake_run(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    rec = bp.run_once(".", "tables", 1, 20, trace=False)
+    assert rec["exit"] == -1 and not rec["correct"]
+    assert rec["stderr_tail"] == "timed out after %d s" % bp.TIMEOUT_S

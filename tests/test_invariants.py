@@ -35,7 +35,7 @@ from dynres.invariants import (
     unicritical_delta_lt_check,
     unicritical_res_lt_check,
 )
-from dynres.numtheory import divisors
+from dynres.numtheory import cyclotomic, divisors, factorize
 from dynres.polycore import BiPoly, IntPoly
 from dynres.resultants import (_symmetries, charpoly_interp,
                                charpoly_sylvester, orbit_degc_bound)
@@ -366,7 +366,7 @@ def _strided_cases(kind, d):
 
 @pytest.mark.parametrize("kind,d", [
     ("unicritical", 2), ("unicritical", 3), ("unicritical", 4),
-    ("shifted", 1), ("shifted", 2), ("shifted", 3),
+    ("shifted", 1), ("shifted", 2), ("shifted", 3), ("shifted", 4),
     ("quadcrit", 1), ("quadcrit", 2),
     ("linearterm", 2), ("linearterm", 4),
 ])
@@ -386,15 +386,25 @@ def test_strided_resultants(kind, d, monkeypatch):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_aux_symmetries(d):
     # charpoly_interp reads off the inputs of aux_nonunicritical the
-    # stride gcd(d, k), and off those of aux_shifted the stride d
+    # stride gcd(d, k), off H_k = P_k^d - 1 as a whole the stride d, and
+    # off each cyclotomic factor Phi_e(P_k) that aux_shifted takes the
+    # stride gcd(d, k e / rad e): s = 1 for d = 2 at odd k and 2 at
+    # k = 2, s = 1 for d = 3 at k < 3, and s = 2, 2, 4 for d = 4, k = 2
     shifted = Family("shifted", d)
+    deriv = shifted.map_poly.derivative()
     z = BiPoly.gen("z")
     for k, m in ((1, 1), (1, 2), (2, 2), (1, 3), (3, 3)):
         F_k = orbit_product(shifted, z, k) - 1
         bound = orbit_degc_bound(F_k, invariants._linear_factor(d), m)
         assert _symmetries(F_k, invariants._cleared_product(d, m), bound,
                            1) == (0, 1, math.gcd(d, k)), (d, k, m)
+        G = multiplier_derivative(shifted, m)
         H_k = (F_k + 1) ** d - 1
-        bound = orbit_degc_bound(H_k, shifted.map_poly.derivative(), m)
-        assert _symmetries(H_k, multiplier_derivative(shifted, m), bound,
-                           1) == (0, 1, d), (d, k, m)
+        bound = orbit_degc_bound(H_k, deriv, m)
+        assert _symmetries(H_k, G, bound, 1) == (0, 1, d), (d, k, m)
+        for e in divisors(d):
+            factor = BiPoly(cyclotomic(e).coeffs).compose(F_k + 1)
+            bound = orbit_degc_bound(factor, deriv, m)
+            rad = math.prod(factorize(e))
+            assert _symmetries(factor, G, bound, 1) == (
+                0, 1, math.gcd(d, k * e // rad)), (d, k, m, e)

@@ -1,4 +1,6 @@
 """Randomized identities, exact equality on every case."""
+import functools
+import operator
 import random
 
 from dynres.polycore import BiPoly, IntPoly, _divmod, nth_root
@@ -25,6 +27,43 @@ def random_bipoly(rng, deg_main, deg_c, bound=9, monic=False):
     elif cols[-1].is_zero:
         cols[-1] = IntPoly((1,), "c")
     return BiPoly(cols, "z", "c")
+
+
+def sparse_ints(rng, n, bound):
+    """n ints in [-bound, bound], about a third of them zero, so that
+    interior coefficients vanish too."""
+    return [0 if rng.random() < 0.3 else rng.randint(-bound, bound)
+            for _ in range(n)]
+
+
+def fresh_copy(p):
+    """p rebuilt from new coefficient tuples, so that p * fresh_copy(p)
+    runs the general product, not the square."""
+    if isinstance(p, IntPoly):
+        return IntPoly(list(p.coeffs), "c")
+    return BiPoly([fresh_copy(a) for a in p.coeffs], "x")
+
+
+def test_square_equals_general_product():
+    # A square forms each cross product once and doubles it; p ** n must
+    # equal the left fold of *, and p * p the product with a copy.
+    rng = random.Random(20240909)
+    cases = [IntPoly((), "c"), IntPoly((7,), "c"), IntPoly((-3,), "c"),
+             IntPoly((0, 0, -2), "c"), IntPoly((5, 0, 0, -1), "c"),
+             BiPoly((), "x"), BiPoly.const(-4, "x"),
+             BiPoly((IntPoly((0, -1), "c"), 0, IntPoly((2, 0, 3), "c")), "x")]
+    for _ in range(40):
+        cases.append(IntPoly(sparse_ints(rng, rng.randint(1, 9), 10 ** 6),
+                             "c"))
+        cases.append(BiPoly([IntPoly(sparse_ints(rng, rng.randint(0, 5), 9),
+                                     "c")
+                             for _ in range(rng.randint(1, 6))], "x"))
+    for p in cases:
+        one = p._coerce(1)
+        assert p * p == p * fresh_copy(p) == fresh_copy(p) * p, p
+        for n in range(6):
+            assert p ** n == functools.reduce(operator.mul, [p] * n, one), \
+                (p, n)
 
 
 def test_nth_root_round_trip():
