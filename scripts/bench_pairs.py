@@ -18,6 +18,15 @@ fault of the program under test.  With ``--traced-seed``, each side
 then runs one traced run per workload (``--trace 1``, at the same run
 length) for the per-layer counts.
 
+After a workload's pairs, each side's unmodified ``perfbench/worker.py
+--workload W --seed S`` runs one untraced round, launched from this
+script's own process at the first seed, and its ``peak_rss_mib`` is that
+side's ``engine_peak_rss_mib``.  The runner's ``peak_rss_mib`` also
+holds what the worker inherits from the runner, which grows with the
+round count; the single round's peak reads apart from it.  It runs after
+the pairs so that, as for the runner's rounds, the checkout's bytecode
+is already written: a round that compiles it peaks about 1.5 MiB higher.
+
 The result is ``BENCH_<TAG>.json`` in the working directory, rewritten
 whole after every run so that a session stopped part way keeps the runs
 it made: every run, the traced runs, and per workload each side's
@@ -91,6 +100,28 @@ def run_once(root: str, workload: str, seed: int, seconds: float,
     return rec
 
 
+def engine_peak(root: str, workload: str, seed: int) -> float | None:
+    """peak_rss_mib of one untraced worker round in checkout ``root``,
+    launched from this process; None when the round does not end in its
+    JSON record."""
+    cmd = [sys.executable, "perfbench/worker.py", "--workload", workload,
+           "--seed", str(seed)]
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT_S)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    try:
+        return float(json.loads(proc.stdout.strip().splitlines()[-1])
+                     ["peak_rss_mib"])
+    except (IndexError, ValueError, KeyError, TypeError):
+        return None
+
+
 def _spread(values: list[float]) -> dict | None:
     """Median and quartiles, the quartiles as statistics.quantiles takes
     them (its default, exclusive method)."""
@@ -102,8 +133,11 @@ def _spread(values: list[float]) -> dict | None:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], workload: str) -> dict:
-    """Both sides' spreads and the pairwise comparison for one workload.
+def summarize(runs: list[dict], workload: str,
+              engine: dict | None = None) -> dict:
+    """Both sides' spreads and the pairwise comparison for one workload,
+    with each side's ``engine_peak_rss_mib`` from ``engine`` (side ->
+    MiB), None for a side it lacks.
 
     A run that exited non-zero carries no metrics; it counts in ``runs``
     and ``all_exit_0``, and under its ``stderr_tail`` in ``nonzero_exits``,
@@ -126,7 +160,8 @@ def summarize(runs: list[dict], workload: str) -> dict:
                     nonzero_exits=dict(collections.Counter(
                         r.get("stderr_tail", "") for r in rs
                         if r["exit"] != 0)),
-                    failed=sum(r.get("failed", 0) for r in rs))
+                    failed=sum(r.get("failed", 0) for r in rs),
+                    engine_peak_rss_mib=(engine or {}).get(side))
         out[side] = sums
     by_seed = {(r["seed"], r["side"]): r for r in mine}
     seeds = sorted({r["seed"] for r in mine})
@@ -175,12 +210,12 @@ def _seeds(text: str) -> list[int]:
     return out
 
 
-def _write(path: str, doc: dict, runs: list[dict],
-           workloads: list[str]) -> None:
+def _write(path: str, doc: dict, runs: list[dict], workloads: list[str],
+           engine: dict) -> None:
     """doc with the summary and the runs so far, written to a temporary
     file and moved over path, so path always holds a whole document."""
-    doc = dict(doc, summary={w: summarize(runs, w) for w in workloads},
-               runs=runs)
+    doc = dict(doc, summary={w: summarize(runs, w, engine.get(w))
+                             for w in workloads}, runs=runs)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         json.dump(doc, fh, indent=1)
@@ -218,6 +253,7 @@ def main(argv=None) -> int:
                      ",".join(map(str, args.seeds)), ", ".join(workloads)),
     }
     runs = []
+    engine: dict = {}
     for workload in workloads:
         for i, seed in enumerate(args.seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
@@ -227,12 +263,15 @@ def main(argv=None) -> int:
                 print("%s %s seed %d: exit %d, wall_ref %s" % (
                     workload, side, seed, rec["exit"], rec.get("wall_ref")),
                     file=sys.stderr, flush=True)
-                _write(path, doc, runs, workloads)
+                _write(path, doc, runs, workloads, engine)
+        engine[workload] = {side: engine_peak(roots[side], workload,
+                                              args.seeds[0])
+                            for side in SIDES}
     if args.traced_seed is not None:
         doc["traced_seed%d" % args.traced_seed] = {
             w: {side: _traced(roots[side], w, args.traced_seed, seconds)
                 for side in SIDES} for w in workloads}
-    _write(path, doc, runs, workloads)
+    _write(path, doc, runs, workloads, engine)
     print("wrote %s" % path, file=sys.stderr)
     return 0
 

@@ -16,9 +16,12 @@ cached iterates of f.  orbit_product multiplies a polynomial h along
 the orbit of z, and (f^m)' is the orbit product of f' over m steps.
 The multiplier polynomial delta_m, whose m-th power is
 Res_z(Phi*_m, x - (f^m)'), the fixed-point resultants
-Res_z(f^k - z, x - (f^m)') and the shifted family's auxiliary
-resultants, one for each cyclotomic factor Phi_e(P_k) of
-H_k = P_k^d - 1, are all multiplier_resultant: Res_z(F, x - (f^m)')
+Res_z(f^k - z, x - (f^m)') and the cyclotomic factors
+Res_z(Phi_e(P_k), x - (f^m)') of the shifted family's auxiliary
+resultant over H_k = P_k^d - 1 are all multiplier_resultant, except the
+Phi_1 factor, which is R_{k,m}, and, for even d and odd k, each
+Phi_(2e) factor, which is the Phi_e factor at -c (see
+invariants.aux_shifted).  multiplier_resultant is Res_z(F, x - (f^m)')
 for a monic F whose roots f permutes, or its monic root-th root.  It is
 interpolated from integer nodes by resultants.charpoly_interp, and
 the number of nodes comes from the proven bound orbit_degc_bound.  At

@@ -72,6 +72,7 @@ def cyclotomic_resultant(fam: Family, n: int, m: int) -> IntPoly:
     return resultant(lift_to_x(cyclotomic(n), delta.cvar), delta)
 
 
+@functools.lru_cache(maxsize=None)
 def delta_nm(fam: Family, n: int, m: int) -> IntPoly:
     """Delta_{n,m}, a polynomial in c; the diagonal case divides
     delta_n(1) by the others."""
@@ -185,6 +186,7 @@ def rescale_extract(obj, fam: Family):
     return psi, sign
 
 
+@functools.lru_cache(maxsize=None)
 def rescaled_multiplier(fam: Family, m: int):
     """The scaled delta_m in the family's rescaled variable, as the pair
     (psi, sign) of rescale_extract; raises NotInSubring off the subring."""
@@ -327,6 +329,7 @@ def unicritical_delta_lt_check(fam: Family, m: int) -> Verdict:
 # auxiliary polynomials for z^(d+1) + cz and (z-c) z^d + c
 
 
+@functools.lru_cache(maxsize=None)
 def _orbit_product(d: int, k: int) -> BiPoly:
     """z * ftil(z) * ... * ftil^(k-1)(z); this is F_k + 1."""
     return orbit_product(Family("shifted", d), BiPoly.gen("z"), k)
@@ -337,6 +340,7 @@ def _linear_factor(d: int) -> BiPoly:
     return BiPoly.gen("z") * (d + 1) - BiPoly.cgen("z") * d
 
 
+@functools.lru_cache(maxsize=None)
 def _cleared_product(d: int, m: int) -> BiPoly:
     """prod over i < m of ((d+1) ftil^i(z) - dc), denominators cleared."""
     return orbit_product(Family("shifted", d), _linear_factor(d), m)
@@ -357,6 +361,13 @@ def aux_nonunicritical(d: int, k: int, m: int) -> BiPoly:
     return charpoly_interp(F_k, _cleared_product(d, m), degc_bound=bound)
 
 
+def _negate_c(P: BiPoly) -> BiPoly:
+    """P with c replaced by -c: its odd c-powers change sign."""
+    return BiPoly([IntPoly([-b if i % 2 else b
+                            for i, b in enumerate(a.coeffs)], P.cvar)
+                   for a in P.coeffs], P.main_var, P.cvar)
+
+
 @functools.lru_cache(maxsize=None)
 def aux_shifted(d: int, k: int, m: int) -> BiPoly:
     """Rtilde_{k,m} = Res_z(H_k, x - G), H_k = P_k^d - 1 with P_k the
@@ -370,23 +381,46 @@ def aux_shifted(d: int, k: int, m: int) -> BiPoly:
     is a root of the same factor; f is injective on the points of period
     dividing k, so it maps the roots onto themselves.  Res_z is
     multiplicative in a monic first argument,
-    Res_z(A B, x - G) = Res_z(A, x - G) Res_z(B, x - G).  So each factor
-    is a multiplier_resultant of its own, with its own proven
-    orbit_degc_bound, and charpoly_interp reads each factor's symmetries
-    off it.  With zeta^d = 1, (z, c) -> (zeta z, zeta c) fixes G and
-    multiplies P_k by zeta^k, and Phi_e(x) is a polynomial in
-    x^(e / rad e), so a factor keeps the c-stride gcd(d, k e / rad e)
-    where H_k as a whole has d.  The fixed-point resultant stays on the
-    whole f^k - z, so the identity resultant-split-fixed-factor still
-    compares two independent computations.
+    Res_z(A B, x - G) = Res_z(A, x - G) Res_z(B, x - G).
+
+    The Phi_1 factor is R_{k,m} = aux_nonunicritical(d, k, m).  Its
+    roots are those of F_k = P_k - 1, where P_k = 1.  The orbit of such
+    a root has period dividing k, and k | m, so P_m = P_k^(m/k) = 1
+    there.  As f'(z) = z^(d-1) ((d+1) z - dc), G = P_m^(d-1) cleared_m,
+    which takes the value of cleared_m at every root; Res_z(F, x - G)
+    depends only on those values.
+
+    For even d and odd k, the Phi_(2e) factor (e odd) is the Phi_e
+    factor with c -> -c.  For even d, f_(-c)(-z) = -f_c(z), so the
+    iterates satisfy f^i_(-c)(-z) = -f^i_c(z).  Then (z, c) -> (-z, -c)
+    fixes G and sends P_k to (-1)^k P_k = -P_k.  With
+    Phi_(2e)(y) = (-1)^phi(e) Phi_e(-y), Phi_(2e)(P_k)(z, c) equals
+    +-Phi_e(P_k)(-z, -c), so the roots of the one are the negatives of
+    the roots of the other at -c, and G takes the same values at both.
+    At d = 2, Rtilde_{k,m} is R_{k,m}(c) R_{k,m}(-c) for every odd k.
+
+    Every other factor is a multiplier_resultant of its own, with its
+    own proven orbit_degc_bound, and charpoly_interp reads each factor's
+    symmetries off it.  With zeta^d = 1, (z, c) -> (zeta z, zeta c)
+    fixes G and multiplies P_k by zeta^k, and Phi_e(x) is a polynomial
+    in x^(e / rad e), so a factor keeps the c-stride
+    gcd(d, k e / rad e) where H_k as a whole has d.  The fixed-point
+    resultant stays on the whole f^k - z, so the identity
+    resultant-split-fixed-factor still compares two independent
+    computations.
     """
     if m % k:
         raise ValueError("need k | m")
     fam = Family("shifted", d)
     P = _orbit_product(d, k)
-    return functools.reduce(BiPoly.__mul__, [
-        multiplier_resultant(fam, BiPoly(cyclotomic(e).coeffs).compose(P), m)
-        for e in divisors(d)])
+    factors = {1: aux_nonunicritical(d, k, m)}
+    for e in divisors(d)[1:]:
+        if e % 4 == 2 and k % 2:
+            factors[e] = _negate_c(factors[e // 2])
+        else:
+            factors[e] = multiplier_resultant(
+                fam, BiPoly(cyclotomic(e).coeffs).compose(P), m)
+    return functools.reduce(BiPoly.__mul__, factors.values())
 
 
 def linearterm_structure_checks(d: int, k: int, m: int) -> list[Verdict]:

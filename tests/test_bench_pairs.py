@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py summarizes alternating parent/change runs."""
 import importlib.util
 import json
+import os
 import pathlib
 import subprocess
 
@@ -206,3 +207,44 @@ def test_timed_out_run_says_so(monkeypatch):
     rec = bp.run_once(".", "tables", 1, 20, trace=False)
     assert rec["exit"] == -1 and not rec["correct"]
     assert rec["stderr_tail"] == "timed out after %d s" % bp.TIMEOUT_S
+
+
+def test_engine_peak_from_one_worker_round_per_side(monkeypatch, tmp_path):
+    # each side's worker runs one untraced round at the first seed,
+    # launched from the script's own process, and its peak RSS is the
+    # side's engine_peak_rss_mib; a round without its record gives None
+    bp = _load_script()
+    launched = []
+    peaks = {"p": 17.5, "c": 17.75}
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        launched.append((cmd[1:], cwd, env["PYTHONPATH"]))
+        side = pathlib.Path(cwd).name
+        if cmd[cmd.index("--workload") + 1] == "classify" and side == "c":
+            return subprocess.CompletedProcess(cmd, 1, stdout="", stderr="")
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout=json.dumps({"peak_rss_mib": peaks[side]}) + "\n",
+            stderr="")
+
+    def fake_run_once(root, workload, seed, seconds, trace):
+        return {k: v for k, v in _run(None, seed, 10.0).items()
+                if k != "side"}
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    monkeypatch.setattr(bp, "run_once", fake_run_once)
+    monkeypatch.chdir(tmp_path)
+    bp.main(["--parent", "p", "--change", "c", "--tag", "eng", "--seeds",
+             "5-6"])
+    workloads = [w["name"] for w in json.loads(bp.BENCHMARK.read_text())
+                 ["workloads"]]
+    assert len(launched) == 2 * len(workloads)
+    for (args, cwd, pythonpath), (w, side) in zip(
+            launched, [(w, s) for w in workloads for s in "pc"]):
+        assert args == ["perfbench/worker.py", "--workload", w, "--seed", "5"]
+        assert cwd == str(tmp_path / side)
+        assert pythonpath.split(os.pathsep)[0] == str(tmp_path / side / "src")
+    summary = json.loads((tmp_path / "BENCH_eng.json").read_text())["summary"]
+    for w in workloads:
+        assert summary[w]["parent"]["engine_peak_rss_mib"] == 17.5
+        assert summary[w]["change"]["engine_peak_rss_mib"] == (
+            None if w == "classify" else 17.75)

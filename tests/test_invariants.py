@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import operator
 
 import pytest
 
@@ -7,7 +9,7 @@ from dynres import invariants, resultants
 from dynres.errors import NotInSubring
 from dynres.families import (Family, c_stride, fixed_point_resultant,
                              iterate, multiplier_derivative, multiplier_poly,
-                             orbit_product)
+                             multiplier_resultant, orbit_product)
 from dynres.invariants import (
     aux_integrality_check,
     aux_leading_term_check,
@@ -31,6 +33,7 @@ from dynres.invariants import (
     quadcrit_delta1_closed,
     quadcrit_lt_check,
     rescale_extract,
+    rescaled_multiplier,
     shifted_structure_checks,
     unicritical_delta_lt_check,
     unicritical_res_lt_check,
@@ -162,8 +165,13 @@ def test_unicritical_leading_terms():
 
 
 def test_aux_cached():
-    assert aux_shifted(2, 2, 2) is aux_shifted(2, 2, 2)
-    assert aux_nonunicritical(2, 2, 2) is aux_nonunicritical(2, 2, 2)
+    # a fresh, equal Family hits the cache too
+    for fn, args in ((aux_shifted, (2, 2, 2)), (aux_nonunicritical, (2, 2, 2)),
+                     (delta_nm, (Family("unicritical", 2), 4, 2)),
+                     (rescaled_multiplier, (Family("shifted", 2), 2)),
+                     (invariants._orbit_product, (2, 3)),
+                     (invariants._cleared_product, (2, 3))):
+        assert fn(*args) is fn(*args), fn.__name__
 
 
 def test_fixed_point_resultant_cached():
@@ -177,6 +185,45 @@ def test_aux_requires_divisor_pairs():
         aux_nonunicritical(2, 3, 2)
     with pytest.raises(ValueError):
         aux_shifted(1, 2, 3)
+
+
+def _shifted_factor(d, k, m, e):
+    """Res_z(Phi_e(P_k), x - (f^m)') for (z - c) z^d + c, as a
+    multiplier_resultant of its own."""
+    fam = Family("shifted", d)
+    P = orbit_product(fam, BiPoly.gen("z"), k)
+    return multiplier_resultant(fam, BiPoly(cyclotomic(e).coeffs).compose(P),
+                                m)
+
+
+def _at_minus_c(R):
+    return BiPoly([IntPoly([(-1) ** i * b for i, b in enumerate(a.coeffs)],
+                           R.cvar) for a in R.coeffs], R.main_var, R.cvar)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_aux_shifted_phi1_factor_is_aux_nonunicritical(d):
+    # on the roots of Phi_1(P_k) = F_k, P_m = 1 and (f^m)' = cleared_m
+    pairs = [(1, 1), (1, 2), (2, 2), (1, 3)] + [(3, 3)] * (d <= 2)
+    for k, m in pairs:
+        assert _shifted_factor(d, k, m, 1) == aux_nonunicritical(d, k, m), (
+            k, m)
+
+
+@pytest.mark.parametrize("d,k,m", [
+    (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 3, 3), (4, 1, 1), (4, 1, 2),
+    (6, 1, 1), (6, 1, 2), (2, 2, 2), (4, 2, 2),
+])
+def test_aux_shifted_pairs_factors_under_c_sign(d, k, m):
+    # for even d and odd k, (z, c) -> (-z, -c) fixes (f^m)' and sends P_k
+    # to -P_k, so the Phi_(2e) factor is the Phi_e factor at -c; at even
+    # k it fixes P_k, and the factors do not pair
+    factors = {e: _shifted_factor(d, k, m, e) for e in divisors(d)}
+    for e, R in factors.items():
+        if e % 4 == 2:
+            assert (R == _at_minus_c(factors[e // 2])) is (k % 2 == 1), e
+    assert aux_shifted(d, k, m) == functools.reduce(operator.mul,
+                                                    factors.values())
 
 
 def test_structure_checks():
