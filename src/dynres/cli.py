@@ -252,14 +252,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     plan = verify_plan()
     names = list(plan) if args.suite == "all" else [args.suite]
     verdicts = []
-    clocks = {}
+    clocks, check_clocks = {}, {}
     for name in names:
+        # ms[i] is the suite's running clock, in whole milliseconds, after
+        # its i-th check: each check's time is a difference of two of
+        # them, so a suite's check times add up to its wall clock.
         t0 = time.perf_counter()
-        batch = []
+        batch, ms = [], [0]
         for check, check_args in plan[name]:
             result = check(*check_args)
             batch.extend(result if isinstance(result, list) else [result])
-        clocks[name] = round(time.perf_counter() - t0, 3)
+            ms.append(round((time.perf_counter() - t0) * 1000))
+        clocks[name] = ms[-1] / 1000
+        check_clocks[name] = [(b - a) / 1000 for a, b in zip(ms, ms[1:])]
         for v in batch:
             print(v.line())
         verdicts.extend(batch)
@@ -268,7 +273,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.report is not None:
         payload = {"command": "verify", "parameters": {"suite": args.suite},
                    "verdicts": [dataclasses.asdict(v) for v in verdicts],
-                   "wall_clock": clocks}
+                   "wall_clock": clocks, "check_wall_clock": check_clocks}
         _write_or_print(json.dumps(payload, indent=2) + "\n", args.report)
     return 1 if failed else 0
 

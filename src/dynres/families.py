@@ -20,7 +20,8 @@ Res_z(f^k - z, x - (f^m)') and the cyclotomic factors
 Res_z(Phi_e(P_k), x - (f^m)') of the shifted family's auxiliary
 resultant over H_k = P_k^d - 1 are all multiplier_resultant, except the
 Phi_1 factor, which is R_{k,m}, and, for even d and odd k, each
-Phi_(2e) factor, which is the Phi_e factor at -c (see
+Phi_(2e) factor, which is the Phi_e factor at -c and enters only
+through the norm R(c) R(-c) of that factor (see
 invariants.aux_shifted).  multiplier_resultant is Res_z(F, x - (f^m)')
 for a monic F whose roots f permutes, or its monic root-th root.  It is
 interpolated from integer nodes by resultants.charpoly_interp, and

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import NotInSubring
+from .errors import DivisionNotExact, NotInSubring
 from .families import (Family, c_stride, dynatomic, fixed_point_resultant,
                        iterate, multiplier_derivative, multiplier_poly,
                        multiplier_resultant, multiplier_scale, orbit_product)
@@ -347,25 +347,48 @@ def _cleared_product(d: int, m: int) -> BiPoly:
 
 
 @functools.lru_cache(maxsize=None)
-def aux_nonunicritical(d: int, k: int, m: int) -> BiPoly:
-    """R_{k,m} = Res_z(F_k, x - cleared_m).  charpoly_interp reads off
-    F_k and cleared_m that it lies in Z[x][c^gcd(d, k)]."""
-    # The integrality and leading-term claims about R are stated for
-    # k | m only; for other pairs the resultant exists but nothing is
-    # asserted about it, so refuse early instead of failing late.
-    if m % k:
-        raise ValueError("need k | m")
+def _aux_resultant(d: int, k: int, m: int) -> BiPoly:
+    """Res_z(F_k, x - cleared_m) for any k and m.  It is R_{k,m} when
+    k | m, and at m = 1, where cleared_1 is the linear factor
+    (d+1) z - dc, it is the G_k of newton.linear_resultant_polygon_check.
+    charpoly_interp reads off F_k and cleared_m that it lies in
+    Z[x][c^gcd(d, k)]."""
     # cleared_m is (d+1) z - dc, not ftil', along the orbit.
     F_k = _orbit_product(d, k) - 1
     bound = orbit_degc_bound(F_k, _linear_factor(d), m)
     return charpoly_interp(F_k, _cleared_product(d, m), degc_bound=bound)
 
 
-def _negate_c(P: BiPoly) -> BiPoly:
-    """P with c replaced by -c: its odd c-powers change sign."""
-    return BiPoly([IntPoly([-b if i % 2 else b
-                            for i, b in enumerate(a.coeffs)], P.cvar)
-                   for a in P.coeffs], P.main_var, P.cvar)
+def aux_nonunicritical(d: int, k: int, m: int) -> BiPoly:
+    """R_{k,m} = Res_z(F_k, x - cleared_m) for k | m, from the cached
+    _aux_resultant."""
+    # The integrality and leading-term claims about R are stated for
+    # k | m only; for other pairs the resultant exists but nothing is
+    # asserted about it, so refuse early instead of failing late.
+    if m % k:
+        raise ValueError("need k | m")
+    return _aux_resultant(d, k, m)
+
+
+def _c_norm(R: BiPoly) -> BiPoly:
+    """R(c) R(-c), formed as A(C)^2 - C B(C)^2 in C = c^2.
+
+    Split R into its even and odd c-parts, R = A(c^2) + c B(c^2) with A
+    and B in Z[C][x].  Then R(-c) = A(c^2) - c B(c^2), and the product
+    is A(c^2)^2 - c^2 B(c^2)^2, which is A^2 - C B^2 at C = c^2: two
+    squarings at half the c-degree of R, in place of one full product.
+    """
+    A = BiPoly([IntPoly(a.coeffs[::2], R.cvar) for a in R.coeffs],
+               R.main_var, R.cvar)
+    B = BiPoly([IntPoly(a.coeffs[1::2], R.cvar) for a in R.coeffs],
+               R.main_var, R.cvar)
+    norm = A * A - (B * B).scale_c(IntPoly.gen(R.cvar))
+    spread = []
+    for a in norm.coeffs:
+        cs = [0] * (2 * len(a.coeffs) - 1)
+        cs[::2] = a.coeffs
+        spread.append(IntPoly(cs, R.cvar))
+    return BiPoly(spread, R.main_var, R.cvar)
 
 
 @functools.lru_cache(maxsize=None)
@@ -397,7 +420,10 @@ def aux_shifted(d: int, k: int, m: int) -> BiPoly:
     Phi_(2e)(y) = (-1)^phi(e) Phi_e(-y), Phi_(2e)(P_k)(z, c) equals
     +-Phi_e(P_k)(-z, -c), so the roots of the one are the negatives of
     the roots of the other at -c, and G takes the same values at both.
-    At d = 2, Rtilde_{k,m} is R_{k,m}(c) R_{k,m}(-c) for every odd k.
+    So each such pair of factors is R_e(c) R_e(-c), R_e the Phi_e
+    factor, and it is formed as the norm _c_norm(R_e) = A^2 - C B^2
+    with R_e = A(C) + c B(C), C = c^2.  At d = 2, Rtilde_{k,m} is
+    R_{k,m}(c) R_{k,m}(-c) for every odd k.
 
     Every other factor is a multiplier_resultant of its own, with its
     own proven orbit_degc_bound, and charpoly_interp reads each factor's
@@ -413,14 +439,27 @@ def aux_shifted(d: int, k: int, m: int) -> BiPoly:
         raise ValueError("need k | m")
     fam = Family("shifted", d)
     P = _orbit_product(d, k)
-    factors = {1: aux_nonunicritical(d, k, m)}
-    for e in divisors(d)[1:]:
-        if e % 4 == 2 and k % 2:
-            factors[e] = _negate_c(factors[e // 2])
-        else:
-            factors[e] = multiplier_resultant(
-                fam, BiPoly(cyclotomic(e).coeffs).compose(P), m)
-    return functools.reduce(BiPoly.__mul__, factors.values())
+    paired = d % 2 == 0 and k % 2 == 1
+    factors = []
+    for e in divisors(d):
+        if paired and e % 4 == 2:
+            continue    # in the norm of the Phi_(e/2) factor
+        R = (aux_nonunicritical(d, k, m) if e == 1 else multiplier_resultant(
+            fam, BiPoly(cyclotomic(e).coeffs).compose(P), m))
+        factors.append(_c_norm(R) if paired and e % 2 else R)
+    return functools.reduce(BiPoly.__mul__, factors)
+
+
+def _compose_rem(P: BiPoly, inner: BiPoly, mod: BiPoly) -> BiPoly:
+    """P(inner) modulo the monic mod, reduced at every Horner step.
+    Reduction modulo a monic polynomial is a ring map onto the
+    remainders, so this is the same polynomial as
+    P.compose(inner).rem_monic(mod), and no step exceeds the degree
+    deg mod - 1 + deg inner."""
+    acc = BiPoly((), inner.main_var, P.cvar)
+    for a in reversed(P.coeffs):
+        acc = (acc * inner + a).rem_monic(mod)
+    return acc
 
 
 def linearterm_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
@@ -448,7 +487,7 @@ def linearterm_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
 
     ftil = Family("shifted", d).map_poly
     out.append(Verdict.identity("aux-root-permutation", {"d": d, "k": k},
-                                F_k.compose(ftil).rem_monic(F_k),
+                                _compose_rem(F_k, ftil, F_k),
                                 BiPoly()))
     return out
 
@@ -510,11 +549,54 @@ def shifted_structure_checks(d: int, k: int, m: int) -> list[Verdict]:
     return out
 
 
+def _power_identity(A: BiPoly, m: int, B: BiPoly, q: int) -> str | None:
+    """None when A^m = B^q, otherwise the residual A^m - B^q.
+
+    For monic A and B the identity is decided by exact roots in the UFD
+    Z[c][x], without forming both powers.  Let
+    g = gcd(m, q), m' = m/g and q' = q/g.
+
+    * A^m = B^q iff A^m' = B^q'.  With X = A^m' and Y = B^q', X^g = Y^g
+      makes X/Y a root of unity in Q(c)(x), hence a constant, as Q(c) is
+      algebraically closed in Q(c)(x); it is 1, as X and Y are monic.
+    * When m' = q' + 1, A^m' = B^q' iff A divides B and S = B/A has
+      S^q' = A.  If B = A S then B^q' = A^q' S^q', which is A^(q'+1)
+      iff S^q' = A, since Z[c][x] is a domain.  If A^(q'+1) = B^q', then
+      T = B/A has T^q' = A, so T is integral over Z[c][x], which is
+      integrally closed as a UFD, and A divides B.  Division by the
+      monic A is exact in Z[c][x] iff it leaves no remainder.
+
+    Otherwise both reduced powers are expanded.  A and B that are not
+    monic are compared by their full powers.
+    """
+    if A.is_monic and B.is_monic:
+        g = math.gcd(m, q)
+        mr, qr = m // g, q // g
+        if mr == qr + 1:
+            try:
+                holds = B.exact_div(A) ** qr == A
+            except DivisionNotExact:
+                holds = False
+        else:
+            holds = A ** mr == B ** qr
+    else:
+        holds = A ** m == B ** q
+    return None if holds else str(A ** m - B ** q)
+
+
 def delta_aux_product_check(kind: str, d: int, m: int) -> Verdict:
     """delta_m^m against the fixed-point factor times the R-product.
 
     linearterm:  delta^m = (x - c^m)^eps * (prod R_{k,m}^mu)^d
     shifted:     delta^m = (x - c^(md))^eps * prod Rtilde_{k,m}^mu
+
+    eps is 1 at m = 1 and 0 otherwise.  For m > 1 this is
+    delta^m = Q^q, Q the Moebius quotient of the aux resultants and q
+    its power (d or 1), decided by _power_identity: at q = m it
+    compares delta with Q, and at m/g = q/g + 1, g = gcd(m, q), it
+    divides Q by delta and compares the (q/g)-th power of the quotient
+    with delta.  A failing claim has the residual delta^m minus the
+    right-hand side, as when both sides are expanded.
     """
     if kind == "linearterm":
         aux, power, fix_deg = aux_nonunicritical, d, m
@@ -523,12 +605,13 @@ def delta_aux_product_check(kind: str, d: int, m: int) -> Verdict:
     else:
         raise ValueError("no auxiliary resultants for %r" % kind)
     fam = Family(kind, d)
-    lhs = multiplier_poly(fam, m).delta ** m
-    ratio = moebius_product(m, lambda k: aux(d, k, m)) ** power
+    delta = multiplier_poly(fam, m).delta
+    Q = moebius_product(m, lambda k: aux(d, k, m))
     if m == 1:
-        ratio = (BiPoly.gen("x") - BiPoly.cgen("x") ** fix_deg) * ratio
-    return Verdict.identity("delta-aux-product",
-                            {"family": fam.label(), "m": m}, lhs, ratio)
+        linear = BiPoly.gen("x") - BiPoly.cgen("x") ** fix_deg
+        Q, power = linear * Q ** power, 1
+    return Verdict.claim("delta-aux-product", {"family": fam.label(), "m": m},
+                         _power_identity(delta, m, Q, power))
 
 
 def aux_integrality_check(kind: str, d: int, k: int, m: int) -> Verdict:

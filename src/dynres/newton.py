@@ -12,11 +12,10 @@ slope t.
 from __future__ import annotations
 
 from .families import Family, fixed_point_resultant, iterate, multiplier_poly
-from .invariants import _linear_factor, _orbit_product
+from .invariants import _aux_resultant, _orbit_product
 from .numtheory import dynatomic_degree
 from .polycore import BiPoly, IntPoly, NewtonPolygon
 from .report import Verdict
-from .resultants import charpoly_interp, orbit_degc_bound
 
 
 # ---------------------------------------------------------------------------
@@ -77,13 +76,13 @@ def linear_resultant_polygon_check(d: int, k: int) -> list[Verdict]:
     and its x-constant term is the cleared evaluation of F_k at
     dc / (d+1).
 
-    With the product convention used here, G_k(0) carries no extra
-    sign; the opposite resultant argument order would multiply it by
-    (-1) ** deg F_k.
+    G_k is the auxiliary resultant Res_z(F_k, x - cleared_m) at m = 1,
+    so it shares its route and cache with R_{k,m}.  With the product
+    convention used here, G_k(0) carries no extra sign; the opposite
+    resultant argument order would multiply it by (-1) ** deg F_k.
     """
     F_k = _orbit_product(d, k) - 1
-    h = _linear_factor(d)
-    G = charpoly_interp(F_k, h, degc_bound=orbit_degc_bound(F_k, h, 1))
+    G = _aux_resultant(d, k, 1)
     np_ = NewtonPolygon.of(G)
     v1 = Verdict.claim("linear-resultant-polygon-slope", {"d": d, "k": k},
                        None if np_.single_slope() == 1 else

@@ -93,6 +93,20 @@ def test_verify_suite(tmp_path, capsys):
     assert rep["parameters"] == {"suite": "degrees"}
 
 
+def test_verify_report_times_each_check(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    rc = main(["verify", "--suite", "leading-terms", "--report", str(report)])
+    assert rc == 0
+    rep = json.loads(report.read_text())
+    times = rep["check_wall_clock"]
+    assert list(times) == list(rep["wall_clock"]) == ["leading-terms"]
+    assert len(times["leading-terms"]) == len(verify_plan()["leading-terms"])
+    assert all(t >= 0 for t in times["leading-terms"])
+    # whole milliseconds, so the sum carries no float rounding
+    assert (sum(round(t * 1000) for t in times["leading-terms"])
+            <= round(rep["wall_clock"]["leading-terms"] * 1000))
+
+
 def test_verify_plan_binds_and_names_the_suites():
     # Every planned check accepts its arguments; no check is run.
     plan = verify_plan()

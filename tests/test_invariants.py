@@ -38,7 +38,7 @@ from dynres.invariants import (
     unicritical_delta_lt_check,
     unicritical_res_lt_check,
 )
-from dynres.numtheory import cyclotomic, divisors, factorize
+from dynres.numtheory import cyclotomic, divisors, factorize, moebius_product
 from dynres.polycore import BiPoly, IntPoly
 from dynres.resultants import (_symmetries, charpoly_interp,
                                charpoly_sylvester, orbit_degc_bound)
@@ -216,12 +216,17 @@ def test_aux_shifted_phi1_factor_is_aux_nonunicritical(d):
 ])
 def test_aux_shifted_pairs_factors_under_c_sign(d, k, m):
     # for even d and odd k, (z, c) -> (-z, -c) fixes (f^m)' and sends P_k
-    # to -P_k, so the Phi_(2e) factor is the Phi_e factor at -c; at even
-    # k it fixes P_k, and the factors do not pair
+    # to -P_k, so the Phi_(2e) factor is the Phi_e factor at -c, and
+    # aux_shifted forms the pair as the norm A^2 - C B^2 of the Phi_e
+    # factor A(C) + c B(C), C = c^2; at even k it fixes P_k, and the
+    # factors do not pair
     factors = {e: _shifted_factor(d, k, m, e) for e in divisors(d)}
     for e, R in factors.items():
         if e % 4 == 2:
             assert (R == _at_minus_c(factors[e // 2])) is (k % 2 == 1), e
+            if k % 2:
+                assert invariants._c_norm(factors[e // 2]) == \
+                    factors[e // 2] * R, e
     assert aux_shifted(d, k, m) == functools.reduce(operator.mul,
                                                     factors.values())
 
@@ -301,14 +306,67 @@ def test_signed_leading_checks_fail_on_corruption(monkeypatch):
 
 
 def test_delta_aux_product():
+    # q = d for linearterm and 1 for shifted: linearterm (2, 2) compares
+    # delta with Q, (2, 3) divides Q by delta and squares the quotient,
+    # the other m = 2 cases divide and compare, and m = 3 at q = 1 expands
     for kind in ("linearterm", "shifted"):
-        for d, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
+        for d, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)):
             assert delta_aux_product_check(kind, d, m).passed
     # only linearterm and shifted have auxiliary resultants; any other
     # kind is refused rather than read as shifted
     for kind in ("unicritical", "quadcrit", "Shifted"):
         with pytest.raises(ValueError):
             delta_aux_product_check(kind, 2, 1)
+
+
+def _expanded_residual(kind, d, m, delta):
+    aux, q = ((invariants.aux_nonunicritical, d) if kind == "linearterm"
+              else (invariants.aux_shifted, 1))
+    Q = moebius_product(m, lambda k: aux(d, k, m))
+    return str(delta ** m - Q ** q)
+
+
+@pytest.mark.parametrize("kind,d,m", [
+    ("linearterm", 2, 2), ("linearterm", 2, 3), ("linearterm", 1, 2),
+    ("linearterm", 1, 3), ("shifted", 1, 2), ("shifted", 2, 2),
+])
+def test_delta_aux_product_residual_is_the_expansion(kind, d, m,
+                                                     monkeypatch):
+    # a delta off by one in its constant term does not divide Q and
+    # differs from it; the verdict keeps the residual delta^m - Q^q
+    fam = Family(kind, d)
+    res = multiplier_poly(fam, m)
+    bad = dataclasses.replace(res, delta=res.delta + 1)
+    monkeypatch.setattr(invariants, "multiplier_poly", lambda fam, m: bad)
+    verdict = delta_aux_product_check(kind, d, m)
+    assert not verdict.passed
+    assert verdict.residual == _expanded_residual(kind, d, m, bad.delta)
+
+
+def test_delta_aux_product_fails_on_a_wrong_quotient(monkeypatch):
+    # R_{3,3} times x + 1 keeps Q monic and divisible by delta_3, but
+    # S = Q / delta_3 no longer squares to delta_3
+    real = aux_nonunicritical
+    x = BiPoly.gen("x")
+    monkeypatch.setattr(invariants, "aux_nonunicritical", lambda d, k, m:
+                        real(d, k, m) * (x + 1) if k == 3 else real(d, k, m))
+    verdict = delta_aux_product_check("linearterm", 2, 3)
+    delta = multiplier_poly(Family("linearterm", 2), 3).delta
+    assert not verdict.passed
+    assert verdict.residual == _expanded_residual("linearterm", 2, 3, delta)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_linear_resultant_shares_the_aux_route(d):
+    # G_k of the Newton checks is Res_z(F_k, x - cleared_1), which at
+    # k = 1 is the cached R_{1,1}; each agrees with an interpolation on
+    # the Sylvester cap
+    assert invariants._aux_resultant(d, 1, 1) is aux_nonunicritical(d, 1, 1)
+    h = invariants._linear_factor(d)
+    for k in (1, 2, 3):
+        F_k = invariants._orbit_product(d, k) - 1
+        assert invariants._aux_resultant(d, k, 1) == charpoly_interp(
+            F_k, h, degc_bound=degc_cap(F_k, h)), k
 
 
 def test_aux_integrality_and_leading():

@@ -1,8 +1,10 @@
 """Randomized identities, exact equality on every case."""
 import functools
+import math
 import operator
 import random
 
+from dynres.invariants import _c_norm, _compose_rem, _power_identity
 from dynres.polycore import BiPoly, IntPoly, _divmod, nth_root
 from dynres.resultants import (
     _symmetries,
@@ -226,3 +228,79 @@ def test_charpoly_int_every_step_size():
                 want = want * (x - P(b))
             fc, gc = spread(list(F.coeffs), m), spread(p, m)
             assert charpoly_int(fc, gc, m) == want, (m, deg)
+
+
+def _expanded_identity(A, m, B, q):
+    """The (passed, residual) of A^m = B^q by expanding both powers."""
+    lhs, rhs = A ** m, B ** q
+    return lhs == rhs, None if lhs == rhs else str(lhs - rhs)
+
+
+def test_power_identity_matches_expansion():
+    # A = S^q', B = S^m' passes; the failing cases are B = A T with
+    # T^q' != A, a B that A does not divide, and a constant term off by
+    # one on either side, at every reduced shape m' = q' + 1, m' = q'
+    # and neither
+    rng = random.Random(20241020)
+    shapes = [(2, 2), (3, 2), (3, 1), (1, 1), (2, 1), (4, 2), (4, 6),
+              (6, 4), (5, 2)]
+    for m, q in shapes:
+        g = math.gcd(m, q)
+        mr, qr = m // g, q // g
+        for _ in range(4):
+            S = random_bipoly(rng, rng.randint(1, 2), rng.randint(0, 2),
+                              bound=5, monic=True)
+            T = random_bipoly(rng, S.degree, rng.randint(0, 2), bound=5,
+                              monic=True)
+            A, B = S ** qr, S ** mr
+            stray = random_bipoly(rng, B.degree, 2, bound=5, monic=True)
+            assert T ** qr != A and not stray.rem_monic(A).is_zero
+            cases = [(A, B, True), (A, A * T, False), (A, stray, False),
+                     (A, B + 1, False), (A + 1, B, False)]
+            for a, b, holds in cases:
+                want = _expanded_identity(a, m, b, q)
+                assert want[0] is holds, (m, q, a, b)
+                residual = _power_identity(a, m, b, q)
+                assert (residual is None, residual) == want, (m, q, a, b)
+
+
+def test_power_identity_off_monic_expands():
+    # not monic: A^2 = (-A)^2 while A != -A
+    x = BiPoly.gen("x")
+    A = -(x * x + BiPoly.cgen("x"))
+    assert _power_identity(A, 2, -A, 2) is None
+    assert _power_identity(A, 1, -A, 1) == str(A + A)
+
+
+def _at_minus_c(R):
+    return BiPoly([IntPoly([(-1) ** i * b for i, b in enumerate(a.coeffs)],
+                           "c") for a in R.coeffs], R.main_var, "c")
+
+
+def test_c_norm_is_product_with_conjugate():
+    # R(c) R(-c) on x-coefficients in c with no terms, even powers only,
+    # odd powers only and both
+    rng = random.Random(20241021)
+    for parity in (None, 0, 1, "mixed"):
+        for _ in range(12):
+            cols = []
+            for _ in range(rng.randint(1, 5)):
+                coeffs = sparse_ints(rng, rng.randint(1, 7), 50)
+                if parity in (0, 1):
+                    coeffs = [a if i % 2 == parity else 0
+                              for i, a in enumerate(coeffs)]
+                elif parity is None:
+                    coeffs = [0]
+                cols.append(IntPoly(coeffs, "c"))
+            R = BiPoly(cols, "x")
+            assert _c_norm(R) == R * _at_minus_c(R), (parity, R)
+
+
+def test_compose_rem_equals_compose_then_rem():
+    rng = random.Random(20241022)
+    for _ in range(60):
+        mod = random_bipoly(rng, rng.randint(1, 5), 2, monic=True)
+        P = random_bipoly(rng, rng.randint(0, 7), 2)
+        inner = random_bipoly(rng, rng.randint(0, 4), 2)
+        assert _compose_rem(P, inner, mod) == \
+            P.compose(inner).rem_monic(mod), (P, inner, mod)
